@@ -1,9 +1,9 @@
 //! `lhcds` — command-line locally h-clique densest subgraph discovery.
 //!
 //! ```text
-//! lhcds topk --graph edges.txt --h 3 --k 5 [--threads 4] [--basic] [--pattern 4-loop] [--flow-reuse ggt] [--core-prune] [--trace] [--trace-out t.json] [--json]
+//! lhcds topk --graph edges.txt --h 3 --k 5 [--threads 4] [--basic] [--pattern 4-loop] [--flow-reuse ggt] [--trace] [--trace-out t.json] [--json]
 //! lhcds topk --input web-Stanford.txt [--format snap|csv|auto] [--no-cache] --h 3 --k 5
-//! lhcds stats --graph edges.txt [--h 3] [--pattern 4-loop] [--threads 4] [--core-prune] [--trace] [--json]
+//! lhcds stats --graph edges.txt [--h 3] [--pattern 4-loop] [--threads 4] [--trace] [--json]
 //! lhcds gen --out edges.txt --preset HA [--scale 0.2]
 //! lhcds datasets list | fetch-instructions | cache | verify [--manifest datasets.toml] [--name X]
 //! lhcds serve --input FILE --h 3 [--pattern 4-loop,3-star] --port 4321 [--k-max 32] [--workers 4] [--slow-query-ms 100] [--max-request-bytes N] [--deadline-ms MS] [--max-pending N] [--fault-schedule SPEC]
@@ -53,8 +53,7 @@
 //! pipeline — CP round scaling, the speculative candidate-verification
 //! stream, and the GGT principal-partition recursion — on `N` worker
 //! threads (`0` = auto-detect); output is byte-identical to the serial
-//! default at every `N`. `--core-prune` builds the whole-graph verifier
-//! networks on the `(h−1)`-core (Core-Exact); verdicts never change.
+//! default at every `N`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -124,12 +123,12 @@ fn run(argv: Vec<String>) -> Result<(), String> {
 fn print_help() {
     println!(
         "lhcds — exact locally h-clique densest subgraph discovery (IPPV)\n\n\
-         USAGE:\n  lhcds topk  (--graph FILE | --input FILE [--format F] [--no-cache]) [--h H] [--k K] [--threads N] [--basic] [--pattern NAME] [--flow-reuse T] [--core-prune] [--trace] [--trace-out FILE] [--quiet] [--json]\n  \
-         lhcds stats (--graph FILE | --input FILE [--format F] [--no-cache]) [--h H] [--pattern NAME] [--threads N] [--core-prune] [--trace] [--trace-out FILE] [--json]\n  \
+         USAGE:\n  lhcds topk  (--graph FILE | --input FILE [--format F] [--no-cache]) [--h H] [--k K] [--threads N] [--basic] [--pattern NAME] [--flow-reuse T] [--trace] [--trace-out FILE] [--quiet] [--json]\n  \
+         lhcds stats (--graph FILE | --input FILE [--format F] [--no-cache]) [--h H] [--pattern NAME] [--threads N] [--trace] [--trace-out FILE] [--json]\n  \
          lhcds gen   --out FILE --preset ABBR [--scale F]\n  \
          lhcds datasets (list | fetch-instructions | cache | verify) [--manifest FILE] [--name NAME]\n  \
          lhcds serve (--graph FILE | --input FILE [--format F] [--no-cache]) [--h H[,H...]] [--pattern NAME[,NAME...]] [--k-max K]\n              \
-         [--host ADDR] [--port N] [--workers N] [--threads N] [--core-prune] [--slow-query-ms MS] [--port-file FILE] [--quiet]\n              \
+         [--host ADDR] [--port N] [--workers N] [--threads N] [--slow-query-ms MS] [--port-file FILE] [--quiet]\n              \
          [--max-request-bytes N] [--deadline-ms MS] [--max-pending N] [--fault-schedule SPEC]\n  \
          lhcds query (top-k | density-of | membership | stats | metrics | health | ping | shutdown)\n              \
          [--host ADDR] --port N [--h H] [--pattern NAME] [--k K] [--vertex V] [--timeout SECS] [--retries N] [--retry-base-ms MS]\n\n\
@@ -141,8 +140,6 @@ fn print_help() {
          THREADS:  worker threads for enumeration AND verification/GGT (0 = auto);\n          \
          results never depend on it\n\
          REUSE:    --flow-reuse scratch|warm|ggt (default ggt); results never depend on it\n\
-         CORE:     --core-prune builds verifier networks on the (h-1)-core (Core-Exact);\n          \
-         results never depend on it\n\
          TRACE:    --trace renders a per-phase span tree on stderr; --trace-out FILE also\n          \
          writes the deterministic JSON trace; results never depend on it\n\
          SERVE:    indexes are persisted next to --input files (FILE.hH.lhcdsidx for cliques,\n          \
@@ -330,7 +327,6 @@ fn cmd_topk(args: &mut Args) -> Result<(), String> {
         Some(spec) => spec.parse::<FlowReuse>()?,
         None => FlowReuse::default(),
     };
-    let core_prune = args.flag("core-prune");
     let (trace, trace_out) = take_trace_flags(args);
     let parallelism = args.parallelism()?;
     let input = InputSpec::take(args)?;
@@ -345,7 +341,6 @@ fn cmd_topk(args: &mut Args) -> Result<(), String> {
         fast_verify: !basic,
         parallelism,
         flow_reuse,
-        core_prune,
         ..IppvConfig::default()
     };
 
@@ -417,10 +412,11 @@ fn cmd_topk(args: &mut Args) -> Result<(), String> {
         report_trace(quiet, trace_out.as_ref())?;
     } else if !quiet {
         eprintln!(
-            "{} instances enumerated | {} verifications ({} flow, {} shortcut) | {} vertices pruned",
+            "{} instances enumerated | {} verifications ({} flow, {} memo hits, {} shortcut) | {} vertices pruned",
             stats.clique_count,
             stats.verifications,
             stats.flow_verifications,
+            stats.memo_hits,
             stats.shortcut_accepts,
             stats.pruned_vertices,
         );
@@ -450,7 +446,6 @@ fn cmd_topk(args: &mut Args) -> Result<(), String> {
 fn cmd_stats(args: &mut Args) -> Result<(), String> {
     let h = args.get_parsed("h")?.unwrap_or(3usize);
     let json = args.flag("json");
-    let core_prune = args.flag("core-prune");
     let pattern = args.get("pattern").map(|n| parse_pattern(&n)).transpose()?;
     let (trace, trace_out) = take_trace_flags(args);
     let parallelism = args.parallelism()?;
@@ -470,11 +465,6 @@ fn cmd_stats(args: &mut Args) -> Result<(), String> {
     if !json {
         eprintln!("{}", loaded.note);
     }
-    // `--core-prune` preview: the verifier universe that flag buys on
-    // `topk`/`serve` — the `(h−1)`-core (every h-clique lives inside it,
-    // so shrinking the shared networks to it changes no verdict).
-    let core_universe = core_prune
-        .then(|| lhcds::graph::core_decomp::k_core_vertices(g, h.saturating_sub(1) as u32).len());
     let deg = lhcds::graph::core_decomp::degeneracy_order(g);
     let clique_no = lhcds::clique::clique_number(g);
     let mut psi: Vec<(usize, u64)> = Vec::new();
@@ -515,9 +505,6 @@ fn cmd_stats(args: &mut Args) -> Result<(), String> {
                 ),
             ),
         ];
-        if let Some(c) = core_universe {
-            pairs.push(("core_prune_universe", Json::Int(c as i128)));
-        }
         if let Some((p, count)) = &pattern_instances {
             pairs.push(("pattern", Json::Str(p.to_string())));
             pairs.push(("pattern_instances", Json::Int(*count as i128)));
@@ -532,12 +519,6 @@ fn cmd_stats(args: &mut Args) -> Result<(), String> {
     println!("max degree:  {}", g.max_degree());
     println!("degeneracy:  {}", deg.degeneracy);
     println!("clique no.:  {}", clique_no);
-    if let Some(c) = core_universe {
-        println!(
-            "core-prune:  {c} vertices in the {}-core verifier universe",
-            h.saturating_sub(1)
-        );
-    }
     for (hh, c) in psi {
         println!("|Psi_{hh}|:     {c}");
     }
@@ -617,7 +598,6 @@ fn cmd_serve(args: &mut Args) -> Result<(), String> {
     let fault_schedule = args.get("fault-schedule");
     let port_file = args.get("port-file").map(PathBuf::from);
     let quiet = args.flag("quiet");
-    let core_prune = args.flag("core-prune");
     let parallelism = args.parallelism()?;
     let input = InputSpec::take(args)?;
     args.finish()?;
@@ -636,7 +616,6 @@ fn cmd_serve(args: &mut Args) -> Result<(), String> {
         k_max,
         ippv: IppvConfig {
             parallelism,
-            core_prune,
             ..IppvConfig::default()
         },
     };
@@ -1135,42 +1114,6 @@ mod tests {
     }
 
     #[test]
-    fn core_prune_flag_reaches_all_pipeline_commands() {
-        // topk and stats accept --core-prune (the Core-Exact wiring);
-        // results are pinned equal to the un-pruned run by the
-        // workspace `core_prune` equivalence suites, so here we assert
-        // the flag parses and the commands succeed end-to-end.
-        run(vec![
-            "topk".into(),
-            "--graph".into(),
-            fixture(),
-            "--k".into(),
-            "2".into(),
-            "--core-prune".into(),
-            "--quiet".into(),
-        ])
-        .unwrap();
-        run(vec![
-            "stats".into(),
-            "--graph".into(),
-            fixture(),
-            "--core-prune".into(),
-            "--json".into(),
-        ])
-        .unwrap();
-        // flags are strict: a command without the knob rejects it
-        assert!(run(vec![
-            "gen".into(),
-            "--out".into(),
-            "/tmp/never-written.txt".into(),
-            "--preset".into(),
-            "HA".into(),
-            "--core-prune".into(),
-        ])
-        .is_err());
-    }
-
-    #[test]
     fn datasets_subcommand_lifecycle() {
         let dir = std::env::temp_dir().join("lhcds_cli_datasets_test");
         std::fs::remove_dir_all(&dir).ok();
@@ -1414,10 +1357,6 @@ mod tests {
             "0".into(),
             "--port-file".into(),
             port_file.to_string_lossy().into_owned(),
-            // Core-Exact wiring: the daemon prunes verifier networks to
-            // the (h−1)-core; the served-vs-batch equality below then
-            // doubles as a core-prune invisibility check.
-            "--core-prune".into(),
             // retain every request in the slow-query ring (threshold 0)
             "--slow-query-ms".into(),
             "0".into(),

@@ -59,9 +59,7 @@ use crate::cp::seq_kclist_pp_threaded;
 use crate::decompose::tentative_gd;
 use crate::prune::prune;
 use crate::stable::derive_stable_groups;
-use crate::verify::{
-    verify_fast_with, BasicVerifier, FastConfig, FastVerifier, SharedFastSlot, Verdict,
-};
+use crate::verify::{verify_fast_with, BasicVerifier, FastConfig, FastVerifier, Verdict};
 use lhcds_clique::{CliqueSet, Parallelism};
 use lhcds_flow::{FlowReuse, Ratio};
 use lhcds_graph::traversal::components_within;
@@ -101,17 +99,11 @@ pub struct IppvConfig {
     /// re-solves, and the default [`FlowReuse::Ggt`] never resets a
     /// flow: decomposition ladders run as one GGT principal-partition
     /// divide-and-conquer, and the fast verifier's flow-deciding calls
-    /// share one whole-graph network re-tuned per candidate. Affects
-    /// wall time and the flow work counters only — every output is
-    /// bit-identical (pinned by the `flow_reuse` equivalence suites).
+    /// share one memoized clique-support network re-tuned per
+    /// candidate. Affects wall time and the flow work counters only —
+    /// every output is bit-identical (pinned by the `flow_reuse` and
+    /// `verifier_identity` equivalence suites).
     pub flow_reuse: FlowReuse,
-    /// Build the whole-graph verifier networks on the `(h−1)`-core
-    /// instead of all of `G` (the Core-Exact trick: every h-clique
-    /// lives inside the `(h−1)`-core, so no verdict changes — pinned by
-    /// the `core_prune` equivalence suite). Off by default; vertices in
-    /// no h-clique are already excluded from candidate regions
-    /// regardless, so this flag only shrinks the shared networks.
-    pub core_prune: bool,
 }
 
 impl Default for IppvConfig {
@@ -125,7 +117,6 @@ impl Default for IppvConfig {
             use_prune: true,
             parallelism: Parallelism::serial(),
             flow_reuse: FlowReuse::default(),
-            core_prune: false,
         }
     }
 }
@@ -169,8 +160,12 @@ pub struct IppvStats {
     pub prefetched_decompositions: usize,
     /// Verification calls.
     pub verifications: usize,
-    /// Verifications decided by the reduced/basic flow network.
+    /// Verifications decided by `DeriveCompact` (a flow network solve
+    /// or a memo hit on the shared fast verifier).
     pub flow_verifications: usize,
+    /// Flow verifications the shared fast verifier answered from its
+    /// `(ρ, T)` memo without a solve.
+    pub memo_hits: usize,
     /// Fast-verifier shortcut accepts (no flow).
     pub shortcut_accepts: usize,
     /// Fast-verifier early rejects (no flow needed for the verdict).
@@ -283,21 +278,20 @@ pub fn top_k_with_instances(
 
     // ---- Verify (candidate loop) ----------------------------------
     let sp = lhcds_obs::span("verify");
-    // Core-Exact restriction for the whole-graph verifier networks:
-    // the (h−1)-core hosts every h-clique.
-    let core_universe: Option<Vec<VertexId>> = cfg.core_prune.then(|| {
-        let deg = lhcds_graph::core_decomp::degeneracy_order(g);
-        let k = (cliques.h() as u32).saturating_sub(1);
-        (0..g.n() as VertexId)
-            .filter(|&v| deg.core[v as usize] >= k)
-            .collect()
-    });
+    // Emission-bound order: eligible vertices by descending upper bound.
+    let mut ub_order: Vec<VertexId> = (0..g.n() as VertexId)
+        .filter(|&v| !pruned[v as usize])
+        .collect();
+    ub_order
+        .sort_unstable_by(|&a, &b| bounds.upper[b as usize].total_cmp(&bounds.upper[a as usize]));
     let mut driver = Driver {
         g,
         cliques,
         cfg,
         bounds,
         pruned,
+        ub_order,
+        ub_cursor: 0,
         output: vec![false; g.n()],
         killed: vec![false; g.n()],
         owner: vec![NO_OWNER; g.n()],
@@ -309,7 +303,6 @@ pub fn top_k_with_instances(
         results: Vec::new(),
         basic: None,
         fast_shared: None,
-        core_universe,
         threads: cfg.parallelism.effective_threads(g.n()),
         decomp_cache: std::collections::HashMap::new(),
         stats: &mut stats,
@@ -330,6 +323,7 @@ pub fn top_k_with_instances(
     stats.verify_ms = sp.elapsed_ms();
     sp.counter("verifications", stats.verifications as u64);
     sp.counter("flow_verifications", stats.flow_verifications as u64);
+    sp.counter("memo_hits", stats.memo_hits as u64);
     sp.counter("local_decompositions", stats.local_decompositions as u64);
     sp.counter("prefetched", stats.prefetched_decompositions as u64);
     drop(sp);
@@ -357,6 +351,13 @@ struct Driver<'a> {
     cfg: &'a IppvConfig,
     bounds: Bounds,
     pruned: Vec<bool>,
+    /// Non-pruned vertices by descending upper bound, and the position
+    /// of the first one that may still be eligible. During verify an
+    /// upper bound only changes on a vertex that turns into an output,
+    /// and the eligible set only shrinks, so the maximum eligible bound
+    /// is found by advancing the cursor (amortised O(n) per run).
+    ub_order: Vec<VertexId>,
+    ub_cursor: usize,
     output: Vec<bool>,
     killed: Vec<bool>,
     owner: Vec<u32>,
@@ -374,13 +375,11 @@ struct Driver<'a> {
     /// Figure 6 network (the same arcs for every candidate — only ρ
     /// differs) is constructed once per run, not once per verification.
     basic: Option<BasicVerifier>,
-    /// Shared whole-graph network for the fast verifier's flow-deciding
+    /// Shared memoized network for the fast verifier's flow-deciding
     /// calls, built lazily on first use. Engaged only at the
     /// [`FlowReuse::Ggt`] tier without boundary-clique inflation; other
     /// configurations keep the per-candidate reduced networks.
     fast_shared: Option<FastVerifier>,
-    /// Verifier universe under `core_prune` (the `(h−1)`-core).
-    core_universe: Option<Vec<VertexId>>,
     /// Worker threads for the verification stream (1 = serial driver).
     threads: usize,
     /// Pure local-decomposition results computed speculatively by the
@@ -416,13 +415,26 @@ impl<'a> Driver<'a> {
 
     /// Upper bound on the density of any *future* LhCDS: max valid
     /// upper bound over vertices that may still appear in one.
-    fn remaining_upper_bound(&self) -> f64 {
-        let mut ub = f64::NEG_INFINITY;
-        for v in 0..self.g.n() {
-            if !self.output[v] && !self.killed[v] && !self.pruned[v] {
-                ub = ub.max(self.bounds.upper[v]);
+    fn remaining_upper_bound(&mut self) -> f64 {
+        let eligible = |d: &Self, v: usize| !d.output[v] && !d.killed[v] && !d.pruned[v];
+        while let Some(&v) = self.ub_order.get(self.ub_cursor) {
+            if eligible(self, v as usize) {
+                break;
             }
+            self.ub_cursor += 1;
         }
+        let ub = self
+            .ub_order
+            .get(self.ub_cursor)
+            .map_or(f64::NEG_INFINITY, |&v| self.bounds.upper[v as usize]);
+        debug_assert_eq!(
+            ub,
+            (0..self.g.n())
+                .filter(|&v| eligible(self, v))
+                .map(|v| self.bounds.upper[v])
+                .fold(f64::NEG_INFINITY, f64::max),
+            "incremental emission bound diverged from the full scan"
+        );
         ub
     }
 
@@ -601,9 +613,6 @@ impl<'a> Driver<'a> {
     }
 
     fn process_component(&mut self, comp: Vec<VertexId>, escalated: bool) {
-        if std::env::var_os("LHCDS_TRACE").is_some() {
-            eprintln!("process_component comp={comp:?} escalated={escalated}");
-        }
         self.stats.local_decompositions += 1;
         if self.threads > 1 && !self.stack.is_empty() && !self.decomp_cache.contains_key(&comp) {
             self.prefetch_decompositions(&comp);
@@ -687,17 +696,11 @@ impl<'a> Driver<'a> {
         self.stats.verifications += 1;
         let verdict = if self.cfg.fast_verify {
             // At the GGT tier all flow-deciding fast verifications share
-            // one whole-graph network — built lazily inside the flow
-            // tail, so shortcut-resolved candidates never build it;
+            // one memoized network — built lazily inside the flow tail,
+            // so shortcut-resolved candidates never build it;
             // boundary-clique inflation keeps per-candidate networks.
-            let shared = if self.cfg.flow_reuse == FlowReuse::Ggt && !self.cfg.boundary_cliques {
-                Some(SharedFastSlot {
-                    slot: &mut self.fast_shared,
-                    universe: self.core_universe.as_deref(),
-                })
-            } else {
-                None
-            };
+            let shared = (self.cfg.flow_reuse == FlowReuse::Ggt && !self.cfg.boundary_cliques)
+                .then_some(&mut self.fast_shared);
             let (verdict, info) = verify_fast_with(
                 self.g,
                 self.cliques,
@@ -720,21 +723,16 @@ impl<'a> Driver<'a> {
             if info.used_flow {
                 self.stats.flow_verifications += 1;
             }
+            if info.memo_hit {
+                self.stats.memo_hits += 1;
+            }
             verdict
         } else {
             self.stats.flow_verifications += 1;
-            let (g, cliques, reuse) = (self.g, self.cliques, self.cfg.flow_reuse);
-            let core = &self.core_universe;
             self.basic
-                .get_or_insert_with(|| match core {
-                    Some(u) => BasicVerifier::on_universe(cliques, u, reuse),
-                    None => BasicVerifier::new(g, cliques, reuse),
-                })
-                .verify(g, &m, rho)
+                .get_or_insert_with(|| BasicVerifier::new(self.cliques, self.cfg.flow_reuse))
+                .verify(self.g, &m, rho)
         };
-        if std::env::var_os("LHCDS_TRACE").is_some() {
-            eprintln!("verify m={m:?} rho={rho} -> {verdict:?}");
-        }
         match verdict {
             Verdict::Lhcds => {
                 let count = (rho * Ratio::from_int(m.len() as i128)).num();

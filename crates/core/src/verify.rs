@@ -35,6 +35,35 @@
 //!   subgraph); `FastConfig::boundary_cliques` optionally adds the
 //!   straddling cliques anyway — the Figure 7 network with `h/cnt`
 //!   capacities — for the ablation benchmarks.
+//!
+//! ## Why the shared networks are exact
+//!
+//! The shared networks ([`BasicVerifier`], [`FastVerifier`]) are
+//! built on the **clique support** `U = {v : cliques.degree(v) > 0}`,
+//! never on all of `V`. Every threshold they solve at is strictly
+//! positive: `S` holds at least one instance, so `ρ ≥ 1/|S|`, while
+//! the perturbation is `1/|T|² < 1/|S|` because `|T| ≥ |S| ≥ h ≥ 2`
+//! (the basic verifier's `1/|U|²` likewise). A vertex outside `U`
+//! would add its positive `v → t` capacity to any cut that keeps it on
+//! the source side and no clique arc to any cut that drops it, so no
+//! maximal min-cut source side ever contains it: dropping it from the
+//! network changes no kept set. For the basic verifier, Theorem 5
+//! applied to `G[U]` (which holds every instance) gives the union of
+//! maximal `ρ`-compact subgraphs at `ε = 1/|U|²`, and that union is the
+//! same in `G`, since no vertex outside `U` lies in a `ρ`-compact
+//! subgraph for `ρ > 0`.
+//!
+//! [`FastVerifier`] also **memoizes** each flow-deciding call by the
+//! exact key `(ρ, sorted T)`. The simulated network's capacities are a
+//! function of `T`, `ρ` and the fixed instance store alone — the
+//! bounds and the output mask only shape `T`, never a capacity — and
+//! the maximal min-cut source side is canonical (the union of all
+//! minimum cuts' source sides), whatever flow the retained network
+//! carried in from earlier candidates. So the same key always yields
+//! the same kept set, and its connected components can be stored and
+//! looked up instead of re-solved. The per-candidate reduced network
+//! (`verify_fast_with(.., None)`) is the oracle both mechanisms are
+//! tested against.
 
 use crate::bounds::Bounds;
 use crate::compact::{local_instance, BoundaryClique, InstanceSolver, LocalInstance};
@@ -44,6 +73,7 @@ use lhcds_flow::rational::lcm_up_to;
 use lhcds_flow::{FlowReuse, ParametricNetwork, Ratio};
 use lhcds_graph::traversal::components_within;
 use lhcds_graph::{CsrGraph, VertexId};
+use std::collections::HashMap;
 
 /// Outcome of a verification call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,15 +94,18 @@ pub enum Verdict {
 pub struct FastVerifyInfo {
     /// BFS frontier size `|T|` (0 when rejected before expansion ended).
     pub t_size: usize,
-    /// Whether the flow network was built and solved.
+    /// Whether `DeriveCompact` decided the verdict (a network solve, or
+    /// a [`FastVerifier`] memo hit on the same `(ρ, T)`).
     pub used_flow: bool,
+    /// Whether a [`FastVerifier`] memo hit answered without a solve.
+    pub memo_hit: bool,
     /// Whether the shortcut accept fired (`T == S`).
     pub shortcut_accept: bool,
     /// Whether an early bound-based reject fired.
     pub early_reject: bool,
     /// Interior cliques in the reduced network (0 when the shared
-    /// whole-graph network of a [`FastVerifier`] answered instead —
-    /// no reduced network is materialized there).
+    /// network of a [`FastVerifier`] answered instead — no reduced
+    /// network is materialized there).
     pub local_cliques: usize,
     /// Boundary cliques added to the reduced network.
     pub boundary_cliques: usize,
@@ -103,62 +136,49 @@ impl Default for FastConfig {
     }
 }
 
-/// The basic verifier (Algorithm 4) with its whole-graph flow network
-/// retained across calls.
+/// The basic verifier (Algorithm 4) with its flow network retained
+/// across calls.
 ///
 /// Every `verify_basic` invocation historically rebuilt the full
 /// Figure 6 network over *all* of `G` — identical arcs every time, only
 /// the threshold ρ differs between candidates. `BasicVerifier` builds
-/// the [`InstanceSolver`] once and re-tunes it per call; the IPPV
-/// driver holds one instance for its whole run when configured with the
-/// basic verifier (the dominant cost of the flow-only baselines).
+/// the [`InstanceSolver`] once, on the clique support (see the module
+/// docs), and re-tunes it per call; the IPPV driver holds one instance
+/// for its whole run when configured with the basic verifier (the
+/// dominant cost of the flow-only baselines).
 #[derive(Debug)]
 pub struct BasicVerifier {
     solver: InstanceSolver,
-    /// local → parent mapping of the whole-graph instance.
+    /// local → parent mapping of the support instance.
     map: Vec<VertexId>,
 }
 
 impl BasicVerifier {
-    /// Builds the whole-graph instance once at the given [`FlowReuse`]
+    /// Builds the support instance once at the given [`FlowReuse`]
     /// tier ([`FlowReuse::Scratch`] restores the rebuild-per-call cost
     /// model for the bench A/B; results identical across tiers).
-    pub fn new(g: &CsrGraph, cliques: &CliqueSet, reuse: FlowReuse) -> BasicVerifier {
-        let all: Vec<VertexId> = g.vertices().collect();
-        BasicVerifier::on_universe(cliques, &all, reuse)
-    }
-
-    /// Builds the verifier on a restricted universe (Core-Exact style:
-    /// the `(h−1)`-core suffices, since every h-clique lives inside it
-    /// and `DeriveCompact` at the pipeline's strictly positive
-    /// thresholds never keeps a clique-free vertex). Verdicts are
-    /// identical to the whole-graph verifier as long as `universe`
-    /// covers every clique member.
-    pub fn on_universe(
-        cliques: &CliqueSet,
-        universe: &[VertexId],
-        reuse: FlowReuse,
-    ) -> BasicVerifier {
-        let (inst, map) = local_instance(cliques, universe);
-        debug_assert_eq!(
-            inst.clique_count(),
-            cliques.len(),
-            "universe must cover every clique"
-        );
+    pub fn new(cliques: &CliqueSet, reuse: FlowReuse) -> BasicVerifier {
+        let (inst, map) = local_instance(cliques, &clique_support(cliques));
+        debug_assert_eq!(inst.clique_count(), cliques.len());
         BasicVerifier {
             solver: InstanceSolver::with_reuse(inst, reuse),
             map,
         }
     }
 
-    /// Basic verification (Algorithm 4): full-graph `DeriveCompact`.
-    /// `s_sorted` must be sorted ascending. Returns `Lhcds` or
+    /// Basic verification (Algorithm 4): `DeriveCompact` over the
+    /// support. `s_sorted` must be sorted ascending. Returns `Lhcds` or
     /// `Superset(X)`.
     pub fn verify(&mut self, g: &CsrGraph, s_sorted: &[VertexId], rho: Ratio) -> Verdict {
         debug_assert!(s_sorted.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(
             self.map.len() <= g.n() && s_sorted.iter().all(|v| self.map.binary_search(v).is_ok()),
             "verify() must receive the graph this verifier was built from"
+        );
+        let n = self.map.len() as i128;
+        debug_assert!(
+            rho - Ratio::new(1, n * n) > Ratio::zero(),
+            "DeriveCompact threshold must be positive"
         );
         let membership = self.solver.derive_compact(rho);
         let kept: Vec<VertexId> = self
@@ -168,8 +188,16 @@ impl BasicVerifier {
             .filter(|&(_, &m)| m)
             .map(|(&v, _)| v)
             .collect();
-        component_verdict(g, s_sorted, &kept)
+        component_verdict(s_sorted, &components_within(g, &kept))
     }
+}
+
+/// The clique support `{v : cliques.degree(v) > 0}`, ascending: the
+/// universe of both shared verifier networks.
+fn clique_support(cliques: &CliqueSet) -> Vec<VertexId> {
+    (0..cliques.n() as VertexId)
+        .filter(|&v| cliques.degree(v) > 0)
+        .collect()
 }
 
 /// Basic verification (Algorithm 4) as a one-shot call: builds a
@@ -181,16 +209,17 @@ pub fn verify_basic(
     s_sorted: &[VertexId],
     rho: Ratio,
 ) -> Verdict {
-    BasicVerifier::new(g, cliques, FlowReuse::default()).verify(g, s_sorted, rho)
+    BasicVerifier::new(cliques, FlowReuse::default()).verify(g, s_sorted, rho)
 }
 
-/// The fast verifier's flow step on **one** shared whole-graph network.
+/// The fast verifier's flow step on **one** shared network, memoized.
 ///
 /// Historically every flow-deciding [`verify_fast`] call built a fresh
 /// reduced network over its own `T`. The candidates differ, but their
 /// networks are all fragments of the same Figure 6 shape; `FastVerifier`
-/// builds the whole-graph network once and *simulates* each candidate's
-/// reduced network with parametric terminal capacities alone:
+/// builds the network once, over the clique support, and *simulates*
+/// each candidate's reduced network with parametric terminal capacities
+/// alone:
 ///
 /// * `v ∈ T` — `s → v` carries the whole-graph clique degree and
 ///   `v → t` the threshold `(ρ − 1/|T|²)·h`, exactly like the reduced
@@ -207,10 +236,13 @@ pub fn verify_basic(
 ///
 /// The per-candidate re-tunes run under [`ReusePolicy::Retract`], so
 /// the flow survives from candidate to candidate and is never reset —
-/// the same GGT discipline the decomposition ladder uses. Only valid
-/// for the default Figure 6 configuration (no boundary-clique
-/// inflation); [`verify_fast_with`] falls back to the per-candidate
-/// path when `FastConfig::boundary_cliques` is set.
+/// the same GGT discipline the decomposition ladder uses. Each solved
+/// `(ρ, T)` is memoized with the connected components of its kept set,
+/// so a recurring pair costs a lookup (exactness: module docs). The
+/// driver owns one `FastVerifier` per run and never shares it across
+/// threads. Only valid for the default Figure 6 configuration (no
+/// boundary-clique inflation); [`verify_fast_with`] falls back to the
+/// per-candidate path when `FastConfig::boundary_cliques` is set.
 #[derive(Debug)]
 pub struct FastVerifier {
     net: ParametricNetwork,
@@ -218,28 +250,18 @@ pub struct FastVerifier {
     deg: Vec<i128>,
     /// local → parent ids (ascending).
     map: Vec<VertexId>,
-    /// parent → local (`u32::MAX` outside the universe).
+    /// parent → local (`u32::MAX` outside the support).
     local: Vec<u32>,
     h: i128,
+    /// `(ρ, sorted T)` → connected components of the kept set.
+    memo: HashMap<(Ratio, Vec<VertexId>), Vec<Vec<VertexId>>>,
 }
 
 impl FastVerifier {
-    /// Builds the shared whole-graph network once.
-    pub fn new(g: &CsrGraph, cliques: &CliqueSet) -> FastVerifier {
-        let all: Vec<VertexId> = g.vertices().collect();
-        FastVerifier::on_universe(cliques, &all)
-    }
-
-    /// Restricted-universe variant (Core-Exact: the `(h−1)`-core hosts
-    /// every h-clique, so building on it shrinks the network without
-    /// changing any verdict). `universe` must cover every clique member.
-    pub fn on_universe(cliques: &CliqueSet, universe: &[VertexId]) -> FastVerifier {
-        let (inst, map) = local_instance(cliques, universe);
-        debug_assert_eq!(
-            inst.clique_count(),
-            cliques.len(),
-            "universe must cover every clique"
-        );
+    /// Builds the shared network once, on the clique support.
+    pub fn new(cliques: &CliqueSet) -> FastVerifier {
+        let (inst, map) = local_instance(cliques, &clique_support(cliques));
+        debug_assert_eq!(inst.clique_count(), cliques.len());
         let n = inst.n;
         let h = inst.h as i128;
         let base = lcm_up_to(inst.h as u32);
@@ -272,19 +294,42 @@ impl FastVerifier {
             map,
             local,
             h,
+            memo: HashMap::new(),
         }
     }
 
+    /// The connected components (in `g`, each ascending) of
+    /// `DeriveCompact(G[T], ρ − 1/|T|², ∅)` — the union of all maximal
+    /// `ρ`-compact subgraphs of `G[T]` — and whether the memo answered.
+    /// `t_sorted` must be ascending; `g` must be the graph the clique
+    /// store was enumerated from.
+    fn compact_components(
+        &mut self,
+        g: &CsrGraph,
+        t_sorted: Vec<VertexId>,
+        rho: Ratio,
+    ) -> (&[Vec<VertexId>], bool) {
+        let key = (rho, t_sorted);
+        if self.memo.contains_key(&key) {
+            return (&self.memo[&key], true);
+        }
+        let kept = self.derive_compact_within(&key.1, rho);
+        let comps = components_within(g, &kept);
+        (self.memo.entry(key).or_insert(comps), false)
+    }
+
     /// `DeriveCompact(G[T], ρ − 1/|T|², ∅)` via the shared network:
-    /// returns the members (parent ids, ascending) of the union of all
-    /// maximal `ρ`-compact subgraphs of `G[T]`. Universe members of `T`
-    /// drive the cut; clique-free `T` members outside the universe are
-    /// provably never kept and only enter through `|T|` in the
-    /// perturbation term.
-    pub fn derive_compact_within(&mut self, t_sorted: &[VertexId], rho: Ratio) -> Vec<VertexId> {
+    /// returns the kept members (parent ids, ascending). Support members
+    /// of `T` drive the cut; clique-free `T` members are provably never
+    /// kept and only enter through `|T|` in the perturbation term.
+    fn derive_compact_within(&mut self, t_sorted: &[VertexId], rho: Ratio) -> Vec<VertexId> {
         let ts = t_sorted.len() as i128;
-        let eps = Ratio::new(1, ts * ts);
-        let thr = (rho - eps).max(Ratio::zero());
+        let thr = rho - Ratio::new(1, ts * ts);
+        debug_assert!(
+            thr > Ratio::zero(),
+            "DeriveCompact threshold must be positive"
+        );
+        let thr = thr.max(Ratio::zero());
         let scale = self.net.scale_for(thr.den());
         let factor = scale / self.net.base_scale();
         let vt_cap = (thr * Ratio::from_int(self.h)).scale_to_int(scale);
@@ -335,23 +380,13 @@ pub fn verify_fast(
     verify_fast_with(g, cliques, s_sorted, rho, bounds, output_mask, cfg, None)
 }
 
-/// A lazily-built shared [`FastVerifier`] slot for [`verify_fast_with`]:
-/// the whole-graph network is constructed on the first *flow-deciding*
-/// verification and reused ever after, so candidate streams that
-/// resolve entirely by shortcut/early-reject never pay for it.
-pub struct SharedFastSlot<'a> {
-    /// Where the verifier persists across candidates (the caller's
-    /// field; `None` until the first flow-deciding verification).
-    pub slot: &'a mut Option<FastVerifier>,
-    /// Restricted build universe (Core-Exact pruning), if any.
-    pub universe: Option<&'a [VertexId]>,
-}
-
 /// [`verify_fast`] with an optional shared [`FastVerifier`] slot: when
-/// given (and boundary-clique inflation is off), the flow step re-tunes
-/// the shared whole-graph network parametrically — building it on first
-/// use — instead of building a reduced network for this candidate.
-/// Verdicts are bit-identical either way.
+/// given (and boundary-clique inflation is off), the flow step asks the
+/// memoized shared network — built on the first flow-deciding call, so
+/// candidate streams that resolve entirely by shortcut/early-reject
+/// never pay for it — instead of building a reduced network for this
+/// candidate. Verdicts are bit-identical either way; `None` is the
+/// per-candidate oracle.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_fast_with(
     g: &CsrGraph,
@@ -361,7 +396,7 @@ pub fn verify_fast_with(
     bounds: &Bounds,
     output_mask: &[bool],
     cfg: &FastConfig,
-    shared: Option<SharedFastSlot<'_>>,
+    shared: Option<&mut Option<FastVerifier>>,
 ) -> (Verdict, FastVerifyInfo) {
     debug_assert!(s_sorted.windows(2).all(|w| w[0] < w[1]));
     let mut info = FastVerifyInfo::default();
@@ -413,16 +448,15 @@ pub fn verify_fast_with(
 
     t.sort_unstable();
     info.used_flow = true;
-    let kept: Vec<VertexId> = match shared {
-        // The shared whole-graph network simulates this candidate's
-        // reduced network with parametric terminal caps alone (only
-        // valid without boundary-clique inflation).
-        Some(sh) if !cfg.boundary_cliques => {
-            let fv = sh.slot.get_or_insert_with(|| match sh.universe {
-                Some(u) => FastVerifier::on_universe(cliques, u),
-                None => FastVerifier::new(g, cliques),
-            });
-            fv.derive_compact_within(&t, rho)
+    let verdict = match shared {
+        // The shared network simulates this candidate's reduced network
+        // with parametric terminal caps alone (only valid without
+        // boundary-clique inflation).
+        Some(slot) if !cfg.boundary_cliques => {
+            let fv = slot.get_or_insert_with(|| FastVerifier::new(cliques));
+            let (comps, hit) = fv.compact_components(g, t, rho);
+            info.memo_hit = hit;
+            component_verdict(s_sorted, comps)
         }
         _ => {
             // Reduced flow network over G[T], solved through the
@@ -436,14 +470,16 @@ pub fn verify_fast_with(
                 info.boundary_cliques = inst.boundary.len();
             }
             let membership = InstanceSolver::new(inst).derive_compact(rho);
-            map.iter()
+            let kept: Vec<VertexId> = map
+                .iter()
                 .zip(&membership)
                 .filter(|&(_, &m)| m)
                 .map(|(&v, _)| v)
-                .collect()
+                .collect();
+            component_verdict(s_sorted, &components_within(g, &kept))
         }
     };
-    (component_verdict(g, s_sorted, &kept), info)
+    (verdict, info)
 }
 
 /// Collects cliques that straddle `t` (sorted) into `inst.boundary`,
@@ -483,33 +519,24 @@ fn collect_boundary_cliques(
 }
 
 /// Shared tail: `S` is an LhCDS iff it equals its connected component
-/// within the `kept` set.
-fn component_verdict(g: &CsrGraph, s_sorted: &[VertexId], kept: &[VertexId]) -> Verdict {
-    // S is ρ-compact, so it must be inside the union of maximal
-    // ρ-compact subgraphs.
-    debug_assert!(
-        {
-            let mut in_kept = vec![false; g.n()];
-            for &v in kept {
-                in_kept[v as usize] = true;
-            }
-            s_sorted.iter().all(|&v| in_kept[v as usize])
-        },
-        "ρ-compact candidate missing from DeriveCompact output"
-    );
-    let comps = components_within(g, kept);
+/// within the kept set, given as its components `comps`.
+fn component_verdict(s_sorted: &[VertexId], comps: &[Vec<VertexId>]) -> Verdict {
+    // S is ρ-compact and connected, so it lies inside one component of
+    // the union of maximal ρ-compact subgraphs.
     let first = s_sorted[0];
-    for comp in comps {
-        if comp.binary_search(&first).is_ok() {
-            return if comp == s_sorted {
-                Verdict::Lhcds
-            } else {
-                Verdict::Superset(comp)
-            };
-        }
+    let comp = comps
+        .iter()
+        .find(|c| c.binary_search(&first).is_ok())
+        .expect("ρ-compact candidate missing from DeriveCompact output");
+    debug_assert!(
+        s_sorted.iter().all(|v| comp.binary_search(v).is_ok()),
+        "ρ-compact candidate split across DeriveCompact components"
+    );
+    if comp == s_sorted {
+        Verdict::Lhcds
+    } else {
+        Verdict::Superset(comp.clone())
     }
-    // Unreachable given the debug assertion; treat conservatively.
-    Verdict::Superset(kept.to_vec())
 }
 
 #[cfg(test)]
@@ -776,7 +803,7 @@ mod tests {
             (&[5, 6, 7, 8, 9], Ratio::from_int(2)),
             (&[0, 1, 2], Ratio::from_int(1)),
         ];
-        let mut shared = BasicVerifier::new(&g, &cs, FlowReuse::default());
+        let mut shared = BasicVerifier::new(&cs, FlowReuse::default());
         let verdicts: Vec<Verdict> = candidates
             .iter()
             .map(|&(s, rho)| shared.verify(&g, s, rho))
@@ -791,7 +818,7 @@ mod tests {
         assert!(matches!(verdicts[2], Verdict::Superset(_)));
     }
 
-    /// The shared whole-graph `FastVerifier` must answer exactly like
+    /// The shared `FastVerifier` must answer exactly like
     /// the per-candidate reduced-network path, across a sequence of
     /// candidates on one retained network.
     #[test]
@@ -809,7 +836,7 @@ mod tests {
         let g = b.build();
         let (cs, bounds) = setup(&g, 3);
         let outputs = vec![false; g.n()];
-        let mut fv = Some(FastVerifier::new(&g, &cs));
+        let mut fv = Some(FastVerifier::new(&cs));
         let candidates: [(&[VertexId], Ratio); 3] = [
             (&[0, 1, 2, 3, 4], Ratio::from_int(2)),
             (&[5, 6, 7, 8], Ratio::from_int(1)),
@@ -834,10 +861,7 @@ mod tests {
                 &bounds,
                 &outputs,
                 &FastConfig::default(),
-                Some(SharedFastSlot {
-                    slot: &mut fv,
-                    universe: None,
-                }),
+                Some(&mut fv),
             );
             assert_eq!(legacy, shared, "candidate {s:?} at {rho}");
             assert_eq!(li.used_flow, si.used_flow);
@@ -845,10 +869,9 @@ mod tests {
         }
     }
 
-    /// Core-Exact restriction: the `(h−1)`-core universe changes no
-    /// verdict for either verifier family.
-    #[test]
-    fn core_universe_changes_no_verdict() {
+    /// Two K5s joined by a bridge, with a clique-free pendant path off
+    /// the second: the path lies outside the clique support.
+    fn bridged_k5s_with_tail() -> CsrGraph {
         let mut b = GraphBuilder::new();
         for base in [0u32, 5] {
             for i in 0..5 {
@@ -858,56 +881,143 @@ mod tests {
             }
         }
         b.add_edge(4, 5);
-        b.add_edge(9, 10).add_edge(10, 11); // path: outside the 2-core
-        let g = b.build();
-        let (cs, bounds) = setup(&g, 3);
-        let deg = lhcds_graph::core_decomp::degeneracy_order(&g);
-        let core: Vec<VertexId> = (0..g.n() as u32)
-            .filter(|&v| deg.core[v as usize] >= 2)
-            .collect();
-        assert!(core.len() < g.n(), "restriction must be proper");
+        b.add_edge(9, 10).add_edge(10, 11);
+        b.build()
+    }
+
+    /// The support-built networks answer like the per-candidate oracle,
+    /// also when `T` reaches clique-free vertices the shared network
+    /// does not contain (they only enter through `|T|`).
+    #[test]
+    fn support_universe_matches_reduced_network_oracle() {
+        let g = bridged_k5s_with_tail();
+        let (cs, mut bounds) = setup(&g, 3);
+        assert_eq!(clique_support(&cs), (0..10).collect::<Vec<_>>());
+        // let T run onto the tail
+        for v in [10usize, 11] {
+            bounds.upper[v] = 10.0;
+        }
         let outputs = vec![false; g.n()];
-        let rho = Ratio::from_int(2);
+        let mut fv: Option<FastVerifier> = None;
         let s: Vec<VertexId> = (0..5).collect();
-        let mut whole_b = BasicVerifier::new(&g, &cs, FlowReuse::default());
-        let mut core_b = BasicVerifier::on_universe(&cs, &core, FlowReuse::default());
-        assert_eq!(
-            whole_b.verify(&g, &s, rho),
-            core_b.verify(&g, &s, rho),
-            "basic verifier"
-        );
-        // the whole-graph slot builds lazily; the core slot is seeded
-        // with an explicit restricted-universe construction
-        let mut whole_f: Option<FastVerifier> = None;
-        let mut core_f = Some(FastVerifier::on_universe(&cs, &core));
-        let (vw, _) = verify_fast_with(
+        for rho in [Ratio::from_int(2), Ratio::new(3, 2)] {
+            let (oracle, oi) = verify_fast_with(
+                &g,
+                &cs,
+                &s,
+                rho,
+                &bounds,
+                &outputs,
+                &FastConfig::default(),
+                None,
+            );
+            let (shared, si) = verify_fast_with(
+                &g,
+                &cs,
+                &s,
+                rho,
+                &bounds,
+                &outputs,
+                &FastConfig::default(),
+                Some(&mut fv),
+            );
+            assert!(oi.used_flow && oi.t_size == 12, "{oi:?}");
+            assert_eq!(oracle, shared, "fast verifier at {rho}");
+            assert_eq!(oi.t_size, si.t_size);
+            let mut basic = BasicVerifier::new(&cs, FlowReuse::default());
+            assert_eq!(basic.verify(&g, &s, rho), oracle, "basic verifier at {rho}");
+        }
+        assert_eq!(fv.expect("flow-deciding call builds the net").map.len(), 10);
+    }
+
+    /// A `(T, ρ)` pair that recurs after the output mask and the bounds
+    /// have changed — and after other candidates moved the retained
+    /// flow — is answered by the memo, with the verdict a freshly built
+    /// network gives.
+    #[test]
+    fn memo_hit_after_state_change_matches_fresh_network() {
+        let g = bridged_k5s_with_tail();
+        let (cs, mut bounds) = setup(&g, 3);
+        let mut outputs = vec![false; g.n()];
+        let cfg = FastConfig::default();
+        let first: Vec<VertexId> = (0..5).collect();
+        let other: Vec<VertexId> = (5..10).collect();
+        let mut fv: Option<FastVerifier> = None;
+        let (v1, i1) = verify_fast_with(
             &g,
             &cs,
-            &s,
-            rho,
+            &first,
+            Ratio::from_int(2),
             &bounds,
             &outputs,
-            &FastConfig::default(),
-            Some(SharedFastSlot {
-                slot: &mut whole_f,
-                universe: None,
-            }),
+            &cfg,
+            Some(&mut fv),
         );
-        assert!(whole_f.is_some(), "flow-deciding call must build the net");
-        let (vc, _) = verify_fast_with(
+        assert!(i1.used_flow && !i1.memo_hit);
+        let (_, i2) = verify_fast_with(
             &g,
             &cs,
-            &s,
-            rho,
+            &other,
+            Ratio::new(3, 2),
             &bounds,
             &outputs,
-            &FastConfig::default(),
-            Some(SharedFastSlot {
-                slot: &mut core_f,
-                universe: Some(&core),
-            }),
+            &cfg,
+            Some(&mut fv),
         );
-        assert_eq!(vw, vc, "fast verifier");
+        assert!(i2.used_flow && !i2.memo_hit);
+        // state change that keeps T: output and pin a member of T, and
+        // tighten the bounds of a vertex outside it
+        outputs[5] = true;
+        bounds.pin_exact(5, Ratio::from_int(2));
+        bounds.upper[10] = 0.5;
+        let (v3, i3) = verify_fast_with(
+            &g,
+            &cs,
+            &first,
+            Ratio::from_int(2),
+            &bounds,
+            &outputs,
+            &cfg,
+            Some(&mut fv),
+        );
+        assert!(i3.used_flow && i3.memo_hit && i3.early_reject, "{i3:?}");
+        assert_eq!(i3.t_size, i1.t_size);
+        assert_eq!(v3, v1);
+        let (fresh, fi) = verify_fast_with(
+            &g,
+            &cs,
+            &first,
+            Ratio::from_int(2),
+            &bounds,
+            &outputs,
+            &cfg,
+            Some(&mut None),
+        );
+        assert!(!fi.memo_hit);
+        assert_eq!(v3, fresh, "memo verdict differs from a fresh network");
+        let (oracle, _) = verify_fast_with(
+            &g,
+            &cs,
+            &first,
+            Ratio::from_int(2),
+            &bounds,
+            &outputs,
+            &cfg,
+            None,
+        );
+        assert_eq!(v3, oracle, "memo verdict differs from the reduced network");
+        // a ρ not seen before is a different key
+        let (_, i4) = verify_fast_with(
+            &g,
+            &cs,
+            &first,
+            Ratio::new(7, 4),
+            &bounds,
+            &outputs,
+            &cfg,
+            Some(&mut fv),
+        );
+        assert!(!i4.memo_hit);
     }
 
     /// Randomized equivalence: fast ≡ basic on small random graphs.
@@ -971,10 +1081,7 @@ mod tests {
                     &bounds,
                     &outputs,
                     &FastConfig::default(),
-                    Some(SharedFastSlot {
-                        slot: &mut fv,
-                        universe: None,
-                    }),
+                    Some(&mut fv),
                 );
                 assert_eq!(fast, shared, "trial {trial}: shared {comp:?}");
             }

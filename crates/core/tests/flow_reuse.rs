@@ -155,14 +155,15 @@ fn ladders_and_basic_verifier_build_one_network_each() {
     assert_eq!(ld.infeasible_reset, 0, "{ld:?}");
 
     // one BasicVerifier across candidates at several ρ: one network
+    // (every candidate holds a triangle, the verifier's precondition)
     let candidates: [(&[VertexId], lhcds_core::Ratio); 3] = [
         (&[0, 1, 2, 3, 4], lhcds_core::Ratio::from_int(2)),
-        (&[5, 6], lhcds_core::Ratio::zero()),
+        (&[0, 1, 2, 3, 4], lhcds_core::Ratio::new(3, 2)),
         (&[0, 1, 2], lhcds_core::Ratio::from_int(1)),
     ];
     for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
         let before = lhcds_flow::flow_stats();
-        let mut shared = BasicVerifier::new(&g, &cliques, tier);
+        let mut shared = BasicVerifier::new(&cliques, tier);
         let verdicts: Vec<Verdict> = candidates
             .iter()
             .map(|&(s, rho)| shared.verify(&g, s, rho))

@@ -28,6 +28,16 @@ use lhcds_patterns::{
     enumerate_pattern, enumerate_pattern_with, top_k_custom, top_k_lhxpds, CustomPattern, Pattern,
 };
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// `parallel_collect_invocations` is process-wide and sibling tests
+/// enumerate in parallel, so every test of this binary holds this lock:
+/// the counter then moves only under the test that measures it.
+static COLLECT_COUNTER: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    COLLECT_COUNTER.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -118,6 +128,7 @@ fn complete(n: usize) -> CsrGraph {
 
 #[test]
 fn figure2_graph_all_builtin_patterns() {
+    let _serial = serial();
     let g = lhcds_data::figure2_graph();
     for p in Pattern::all_builtin() {
         assert_pattern_equivalent(&g, p);
@@ -130,6 +141,7 @@ fn figure2_graph_all_builtin_patterns() {
 
 #[test]
 fn complete_graphs_all_builtin_patterns() {
+    let _serial = serial();
     for n in [4usize, 6, 8] {
         let g = complete(n);
         for p in Pattern::all_builtin() {
@@ -140,6 +152,7 @@ fn complete_graphs_all_builtin_patterns() {
 
 #[test]
 fn sparse_and_degenerate_graphs() {
+    let _serial = serial();
     let graphs = [
         // triangle-free cycle: only paths/stars/loops survive
         CsrGraph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]),
@@ -161,6 +174,7 @@ fn sparse_and_degenerate_graphs() {
 /// serial store bit-for-bit.
 #[test]
 fn custom_pattern_parallel_matches_serial() {
+    let _serial = serial();
     let c5 = CustomPattern::new("c5", 5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
     let g = lhcds_data::figure2_graph();
     let serial = c5.enumerate(&g);
@@ -178,6 +192,7 @@ fn custom_pattern_parallel_matches_serial() {
 /// enumeration never touches it.
 #[test]
 fn parallelism_is_honored_not_dropped() {
+    let _serial = serial();
     let g = lhcds_data::figure2_graph();
     let patterns = [
         Pattern::Triangle, // kClist collect path
@@ -216,6 +231,7 @@ fn parallelism_is_honored_not_dropped() {
 /// every thread count, for built-in and custom patterns alike.
 #[test]
 fn pipeline_answers_are_thread_count_invariant() {
+    let _serial = serial();
     let g = lhcds_data::figure2_graph();
     for p in [Pattern::Cycle4, Pattern::Diamond, Pattern::Star3] {
         let serial = top_k_lhxpds(&g, p, 3, &IppvConfig::default());
@@ -282,6 +298,7 @@ proptest! {
     /// count.
     #[test]
     fn random_graphs_are_pattern_equivalent(g in arb_graph(12)) {
+        let _serial = serial();
         for p in Pattern::all_builtin() {
             assert_pattern_equivalent(&g, p);
         }
@@ -290,6 +307,7 @@ proptest! {
     /// Parallel pattern runs are reproducible run-to-run.
     #[test]
     fn parallel_pattern_runs_are_reproducible(g in arb_graph(11)) {
+        let _serial = serial();
         let par = Parallelism::threads(4);
         for p in [Pattern::Star3, Pattern::Cycle4, Pattern::Diamond] {
             let a = enumerate_pattern_with(&g, p, &par);

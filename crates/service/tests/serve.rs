@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use lhcds_core::index::{DecompositionIndex, IndexConfig};
@@ -25,6 +26,15 @@ use lhcds_service::server::{ServeOptions, ServedIndexes, Server};
 use proptest::prelude::*;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The max-flow counter is process-wide and sibling tests build indexes
+/// (which run max-flow), so every test of this binary holds this lock:
+/// the counter then moves only under the test that measures it.
+static FLOW_COUNTER: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    FLOW_COUNTER.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn figure2() -> CsrGraph {
     lhcds_data::figure2_graph()
@@ -88,6 +98,7 @@ fn assert_index_matches_fresh(g: &CsrGraph, hs: &[usize], k_max: usize) {
 
 #[test]
 fn figure2_index_identical_to_fresh_runs_for_all_h_and_k() {
+    let _serial = serial();
     assert_index_matches_fresh(&figure2(), &[2, 3, 4], 6);
 }
 
@@ -96,6 +107,7 @@ proptest! {
 
     #[test]
     fn proptest_index_identical_to_fresh_runs(bits in prop::collection::vec(prop::bool::weighted(0.45), 45)) {
+        let _serial = serial();
         // n = 10, 45 potential edges
         let mut b = GraphBuilder::new();
         b.ensure_vertex(9);
@@ -115,6 +127,7 @@ proptest! {
 
 #[test]
 fn serving_is_flow_free_end_to_end() {
+    let _serial = serial();
     let g = figure2();
     // Build everything (the only flow-using phase) first…
     let served = served_for(&g, &[2, 3], 8);
@@ -170,6 +183,7 @@ fn serving_is_flow_free_end_to_end() {
 
 #[test]
 fn served_answers_match_batch_serializer_exactly() {
+    let _serial = serial();
     // The served top_k result must be string-identical to what the
     // batch path (CLI --json) produces from a fresh pipeline run.
     let g = figure2();
@@ -211,6 +225,7 @@ fn served_answers_match_batch_serializer_exactly() {
 
 #[test]
 fn four_concurrent_connections_are_served_correctly() {
+    let _serial = serial();
     let g = figure2();
     let server = Server::bind(
         "127.0.0.1:0",
@@ -272,6 +287,7 @@ fn four_concurrent_connections_are_served_correctly() {
 
 #[test]
 fn malformed_requests_never_kill_the_daemon() {
+    let _serial = serial();
     let g = figure2();
     let server = Server::bind(
         "127.0.0.1:0",
@@ -329,6 +345,7 @@ fn malformed_requests_never_kill_the_daemon() {
 
 #[test]
 fn graceful_shutdown_answers_in_flight_requests() {
+    let _serial = serial();
     use std::io::{BufRead, BufReader, Write};
 
     let g = figure2();
@@ -366,6 +383,7 @@ fn graceful_shutdown_answers_in_flight_requests() {
 
 #[test]
 fn shutdown_does_not_hang_on_a_partial_request_line() {
+    let _serial = serial();
     use std::io::Write;
 
     let g = figure2();
@@ -398,6 +416,7 @@ fn shutdown_does_not_hang_on_a_partial_request_line() {
 
 #[test]
 fn protocol_shutdown_op_stops_the_server() {
+    let _serial = serial();
     let g = figure2();
     let server = Server::bind(
         "127.0.0.1:0",
@@ -419,6 +438,7 @@ fn protocol_shutdown_op_stops_the_server() {
 
 #[test]
 fn stats_op_reports_shape_and_counters() {
+    let _serial = serial();
     let g = figure2();
     let server = Server::bind(
         "127.0.0.1:0",
@@ -531,6 +551,7 @@ fn stats_op_reports_shape_and_counters() {
 /// serving them is flow-free.
 #[test]
 fn daemon_hosts_one_graph_under_many_patterns() {
+    let _serial = serial();
     use lhcds_patterns::{build_pattern_index, top_k_lhxpds, Pattern};
 
     let g = figure2();
