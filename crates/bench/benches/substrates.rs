@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lhcds::clique::{clique_core, par_count_per_vertex, CliqueSet, Parallelism};
-use lhcds::core::compact::{densest_decomposition, local_instance};
+use lhcds::core::compact::{local_instance, InstanceSolver};
 use lhcds::core::cp::seq_kclist_pp;
 use lhcds::data::gen::{gnp, planted_communities};
 use lhcds::flow::Dinic;
@@ -101,7 +101,7 @@ fn flow_primitives(c: &mut Criterion) {
     group.bench_function("densest_decomposition_h3", |b| {
         b.iter(|| {
             let (inst, _) = local_instance(&cs, &all);
-            densest_decomposition(&inst)
+            InstanceSolver::new(&inst).densest_decomposition()
         })
     });
     group.finish();

@@ -13,7 +13,7 @@
 //! `--threads N` adds `N` to the thread sweep of the `kclist`
 //! experiment.
 //!
-//! Five experiments record committed `BENCH_*.json` baselines
+//! Four experiments record committed `BENCH_*.json` baselines
 //! (directory override: `LHCDS_BENCH_DIR`), each stamped with the
 //! recording host's parallelism (`host_parallelism`,
 //! `recorded_on_single_cpu`):
@@ -30,12 +30,7 @@
 //! * `obs` → `BENCH_obs.json` — `lhcds_obs` tracing cost, off vs on:
 //!   asserts traced and untraced pipelines agree byte-for-byte and
 //!   that disabled instrumentation — span guards and disarmed
-//!   fault-injection checks alike — stays under 1% of wall;
-//! * `flowreuse` → `BENCH_flow.json` — parametric flow-network reuse
-//!   vs rebuild-per-probe on the decomposition ladder and the full
-//!   pipeline (wall time + networks/arcs built, max-flow invocations,
-//!   warm-start hit rate); also asserts reuse/scratch bit-identity and
-//!   the fewer-networks-than-probes contract on every run.
+//!   fault-injection checks alike — stays under 1% of wall.
 
 use lhcds_bench::experiments::{all_experiments, run_experiment, ExpOptions};
 use lhcds_bench::measure::CountingAllocator;

@@ -77,7 +77,6 @@ pub fn all_experiments() -> &'static [&'static str] {
         "kclist",
         "patterns",
         "serve_qps",
-        "flowreuse",
         "obs",
     ]
 }
@@ -103,7 +102,6 @@ pub fn run_experiment(name: &str, opts: &ExpOptions) -> Option<String> {
         "kclist" => kclist(opts),
         "patterns" => patterns(opts),
         "serve_qps" => serve_qps(opts),
-        "flowreuse" => flowreuse(opts),
         "obs" => obs(opts),
         _ => return None,
     })
@@ -1167,216 +1165,6 @@ fn serve_qps_on(
     )
 }
 
-/// Flow-network reuse tier A/B/C: the decomposition ladder (exact
-/// dense decomposition — every marginal-density probe) and a full IPPV
-/// run, at all three [`lhcds::core::FlowReuse`] tiers — `scratch` (historical
-/// rebuild-per-probe), `warm` (one warm-started network per instance,
-/// reset on decreases), and `ggt` (never-reset GGT divide-and-conquer
-/// plus the shared fast-verifier network). Records wall time and the
-/// flow work counters (networks/arcs built, max-flow invocations,
-/// warm/retract/cold solves, GGT recursions) to `BENCH_flow.json` with
-/// the standard provenance stamp — the committed before/after anchor
-/// for flow-layer perf work.
-///
-/// Exactness is asserted, not hoped for: all tiers must produce
-/// bit-identical decompositions and pipeline outputs — at every point
-/// of the threads axis — the reuse tiers must build strictly fewer
-/// networks than they run max-flows, and `ggt` must build no more
-/// networks than `warm` on every row (the CI smoke contract).
-pub fn flowreuse(opts: &ExpOptions) -> String {
-    let dir = std::env::var("LHCDS_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    let workloads: Vec<(&str, CsrGraph, usize)> = vec![
-        ("figure2", lhcds::data::figure2_graph(), 3),
-        (
-            "planted_communities_1200",
-            lhcds::data::gen::planted_communities(
-                1200,
-                3,
-                &[(20, 0.9), (16, 0.85), (12, 0.9), (10, 0.95)],
-                0xF10,
-            ),
-            3,
-        ),
-        ("gnp_200_p20_h4", lhcds::data::gen::gnp(200, 0.2, 0xF10), 4),
-    ];
-    flowreuse_on(opts, workloads, std::path::Path::new(&dir))
-}
-
-/// [`flowreuse`] with explicit workloads and output directory. Public
-/// for the integration test (`tests/flowreuse.rs`), which must own its
-/// process: the experiment asserts exact process-wide flow-counter
-/// relations, so it cannot share a test binary with other flow-running
-/// tests.
-pub fn flowreuse_on(
-    opts: &ExpOptions,
-    workloads: Vec<(&str, CsrGraph, usize)>,
-    out_dir: &std::path::Path,
-) -> String {
-    use lhcds::core::density::dense_decomposition_threaded;
-    use lhcds::core::{flow_stats, FlowReuse};
-
-    // the threads axis: serial, a 4-way point, and any --threads extra
-    let mut thread_axis: Vec<usize> = vec![1, 4];
-    if opts.threads > 0 && !thread_axis.contains(&opts.threads) {
-        thread_axis.push(opts.threads);
-    }
-
-    let mut t = MdTable::new([
-        "graph",
-        "h",
-        "mode",
-        "threads",
-        "ladder (ms)",
-        "pipeline (ms)",
-        "max-flows",
-        "networks",
-        "arcs",
-        "warm/retract/cold",
-        "speedup",
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for (name, g, h) in &workloads {
-        let cliques = lhcds::clique::CliqueSet::enumerate(g, *h);
-        // the threads=1 baseline everything must byte-match, plus the
-        // per-mode serial wall time the speedup column divides by
-        let mut baseline: Option<(lhcds::core::density::DenseDecomposition, IppvResult)> = None;
-        let mut serial_ms_by_mode: Vec<f64> = Vec::new();
-        for &tc in &thread_axis {
-            let mut networks_by_mode: Vec<u64> = Vec::new();
-            for (mi, mode) in [FlowReuse::Scratch, FlowReuse::Warm, FlowReuse::Ggt]
-                .into_iter()
-                .enumerate()
-            {
-                let cfg = IppvConfig {
-                    flow_reuse: mode,
-                    parallelism: Parallelism::threads(tc),
-                    ..IppvConfig::default()
-                };
-                let before = flow_stats();
-                let (decomp, ladder_ms) =
-                    time_ms(|| dense_decomposition_threaded(g, &cliques, mode, tc));
-                let (res, pipeline_ms) = time_ms(|| {
-                    lhcds::core::pipeline::top_k_with_instances(g, &cliques, usize::MAX, &cfg)
-                });
-                let d = flow_stats().since(&before);
-
-                if mode == FlowReuse::Scratch {
-                    assert_eq!(
-                        d.networks_built, d.max_flow_invocations,
-                        "{name} threads={tc}: scratch mode must rebuild per probe"
-                    );
-                } else {
-                    // the reuse contract, enforced on every run (CI smoke
-                    // included): asymptotically fewer networks than ρ-probes
-                    assert!(
-                        d.max_flow_invocations <= 1 || d.networks_built < d.max_flow_invocations,
-                        "{name} threads={tc}: {mode} built {} networks for {} max-flows",
-                        d.networks_built,
-                        d.max_flow_invocations
-                    );
-                }
-                if mode == FlowReuse::Ggt {
-                    assert_eq!(
-                        d.infeasible_reset, 0,
-                        "{name} threads={tc}: the ggt tier must never reset a flow"
-                    );
-                }
-
-                // pipeline speedup vs the same mode's threads=1 row —
-                // honest only off a single-CPU host (provenance stamp)
-                let speedup = if tc == 1 {
-                    serial_ms_by_mode.push(pipeline_ms);
-                    None
-                } else {
-                    Some(serial_ms_by_mode[mi] / pipeline_ms.max(1e-9))
-                };
-
-                t.row([
-                    name.to_string(),
-                    h.to_string(),
-                    mode.to_string(),
-                    tc.to_string(),
-                    format!("{ladder_ms:.1}"),
-                    format!("{pipeline_ms:.1}"),
-                    d.max_flow_invocations.to_string(),
-                    d.networks_built.to_string(),
-                    d.arcs_built.to_string(),
-                    format!("{}/{}/{}", d.warm_solves, d.retract_solves, d.cold_solves()),
-                    speedup.map_or("-".into(), |s| format!("{s:.2}x")),
-                ]);
-                json_rows.push(format!(
-                    "    {{\"graph\": \"{name}\", \"n\": {}, \"m\": {}, \"h\": {h}, \
-                     \"mode\": \"{mode}\", \"threads\": {tc}, \
-                     \"ladder_wall_ms\": {ladder_ms:.3}, \
-                     \"pipeline_wall_ms\": {pipeline_ms:.3}, \
-                     \"max_flow_invocations\": {}, \"networks_built\": {}, \
-                     \"arcs_built\": {}, \"warm_solves\": {}, \"retract_solves\": {}, \
-                     \"cold_solves\": {}, \"ggt_recursions\": {}, \
-                     \"warm_hit_rate\": {:.4}{}}}",
-                    g.n(),
-                    g.m(),
-                    d.max_flow_invocations,
-                    d.networks_built,
-                    d.arcs_built,
-                    d.warm_solves,
-                    d.retract_solves,
-                    d.cold_solves(),
-                    d.ggt_recursions,
-                    d.warm_hit_rate(),
-                    speedup.map_or(String::new(), |s| format!(
-                        ", \"pipeline_speedup_vs_serial\": {s:.3}"
-                    )),
-                ));
-
-                // bit-identity across every tier AND every thread
-                // count: levels, compact numbers, pipeline outputs
-                match &baseline {
-                    None => baseline = Some((decomp, res)),
-                    Some(base) => {
-                        assert_eq!(
-                            base.0.levels, decomp.levels,
-                            "{name}/{mode}/t{tc}: ladder diverged"
-                        );
-                        assert_eq!(base.0.phi, decomp.phi, "{name}/{mode}/t{tc}: φ diverged");
-                        assert_eq!(
-                            base.1.subgraphs, res.subgraphs,
-                            "{name}/{mode}/t{tc}: pipeline diverged"
-                        );
-                    }
-                }
-                networks_by_mode.push(d.networks_built);
-            }
-            // the tentpole contract: GGT never builds more networks
-            // than the warm tier, on every row of the threads axis
-            assert!(
-                networks_by_mode[2] <= networks_by_mode[1],
-                "{name} threads={tc}: ggt built {} networks vs warm's {}",
-                networks_by_mode[2],
-                networks_by_mode[1]
-            );
-        }
-    }
-
-    let provenance = BenchProvenance::detect();
-    let json = format!(
-        "{{\n  \"experiment\": \"flowreuse\",\n  {},\n  {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        provenance.json_fields(),
-        provenance.speedup_fields(),
-        json_rows.join(",\n")
-    );
-    let path = out_dir.join("BENCH_flow.json");
-    let note = match std::fs::write(&path, &json) {
-        Ok(()) => format!("baseline recorded to `{}`", path.display()),
-        Err(e) => format!("could not write `{}`: {e}", path.display()),
-    };
-    format!(
-        "## flowreuse — parametric network reuse vs rebuild-per-probe (host parallelism: {})\n{}\n{}\n{note}\n",
-        provenance.host_parallelism,
-        provenance.speedup_caveat(),
-        t.render()
-    )
-}
-
 /// Observability overhead: the full IPPV pipeline with `lhcds_obs`
 /// tracing off vs on, recorded to `BENCH_obs.json`.
 ///
@@ -1645,7 +1433,6 @@ mod tests {
                 "kclist",
                 "patterns",
                 "serve_qps",
-                "flowreuse",
                 "obs"
             ]
             .contains(name));

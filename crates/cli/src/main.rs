@@ -1,7 +1,7 @@
 //! `lhcds` — command-line locally h-clique densest subgraph discovery.
 //!
 //! ```text
-//! lhcds topk --graph edges.txt --h 3 --k 5 [--threads 4] [--basic] [--pattern 4-loop] [--flow-reuse ggt] [--trace] [--trace-out t.json] [--json]
+//! lhcds topk --graph edges.txt --h 3 --k 5 [--threads 4] [--basic] [--pattern 4-loop] [--trace] [--trace-out t.json] [--json]
 //! lhcds topk --input web-Stanford.txt [--format snap|csv|auto] [--no-cache] --h 3 --k 5
 //! lhcds stats --graph edges.txt [--h 3] [--pattern 4-loop] [--threads 4] [--trace] [--json]
 //! lhcds gen --out edges.txt --preset HA [--scale 0.2]
@@ -50,10 +50,10 @@
 //! with capped exponential backoff and deterministic jitter.
 //!
 //! `--threads N` runs h-clique enumeration *and* the post-enumeration
-//! pipeline — CP round scaling, the speculative candidate-verification
-//! stream, and the GGT principal-partition recursion — on `N` worker
-//! threads (`0` = auto-detect); output is byte-identical to the serial
-//! default at every `N`.
+//! pipeline — CP round scaling and the speculative
+//! candidate-verification stream — on `N` worker threads (`0` =
+//! auto-detect); output is byte-identical to the serial default at
+//! every `N`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -61,7 +61,6 @@ use std::time::Duration;
 
 use lhcds::core::index::IndexConfig;
 use lhcds::core::pipeline::{top_k_lhcds, IppvConfig};
-use lhcds::core::FlowReuse;
 use lhcds::data::cache::{cache_path_for, load_or_build, CacheStatus};
 use lhcds::data::index_cache::{build_or_load_pattern_index_for, IndexBuildOptions};
 use lhcds::data::ingest::{read_graph_file, EdgeListFormat};
@@ -123,7 +122,7 @@ fn run(argv: Vec<String>) -> Result<(), String> {
 fn print_help() {
     println!(
         "lhcds — exact locally h-clique densest subgraph discovery (IPPV)\n\n\
-         USAGE:\n  lhcds topk  (--graph FILE | --input FILE [--format F] [--no-cache]) [--h H] [--k K] [--threads N] [--basic] [--pattern NAME] [--flow-reuse T] [--trace] [--trace-out FILE] [--quiet] [--json]\n  \
+         USAGE:\n  lhcds topk  (--graph FILE | --input FILE [--format F] [--no-cache]) [--h H] [--k K] [--threads N] [--basic] [--pattern NAME] [--trace] [--trace-out FILE] [--quiet] [--json]\n  \
          lhcds stats (--graph FILE | --input FILE [--format F] [--no-cache]) [--h H] [--pattern NAME] [--threads N] [--trace] [--trace-out FILE] [--json]\n  \
          lhcds gen   --out FILE --preset ABBR [--scale F]\n  \
          lhcds datasets (list | fetch-instructions | cache | verify) [--manifest FILE] [--name NAME]\n  \
@@ -137,9 +136,8 @@ fn print_help() {
          FORMATS:  auto (default), snap (whitespace), csv\n\
          PATTERNS: edge, triangle, 3-star, 4-path, c3-star, 4-loop, 2-triangle, {{h}}-clique\n\
          PRESETS:  Table 2 abbreviations (HA, GQ, PP, PC, WB, CM, EP, EN, GW, DB, AM, YT, LF, FX, WT)\n\
-         THREADS:  worker threads for enumeration AND verification/GGT (0 = auto);\n          \
+         THREADS:  worker threads for enumeration AND verification (0 = auto);\n          \
          results never depend on it\n\
-         REUSE:    --flow-reuse scratch|warm|ggt (default ggt); results never depend on it\n\
          TRACE:    --trace renders a per-phase span tree on stderr; --trace-out FILE also\n          \
          writes the deterministic JSON trace; results never depend on it\n\
          SERVE:    indexes are persisted next to --input files (FILE.hH.lhcdsidx for cliques,\n          \
@@ -323,10 +321,6 @@ fn cmd_topk(args: &mut Args) -> Result<(), String> {
     let quiet = args.flag("quiet");
     let json = args.flag("json");
     let pattern = args.get("pattern");
-    let flow_reuse = match args.get("flow-reuse") {
-        Some(spec) => spec.parse::<FlowReuse>()?,
-        None => FlowReuse::default(),
-    };
     let (trace, trace_out) = take_trace_flags(args);
     let parallelism = args.parallelism()?;
     let input = InputSpec::take(args)?;
@@ -340,7 +334,6 @@ fn cmd_topk(args: &mut Args) -> Result<(), String> {
     let cfg = IppvConfig {
         fast_verify: !basic,
         parallelism,
-        flow_reuse,
         ..IppvConfig::default()
     };
 
@@ -374,7 +367,6 @@ fn cmd_topk(args: &mut Args) -> Result<(), String> {
         root.counter("retract_solves", flow.retract_solves);
         root.counter("cold_solves", flow.cold_solves());
         root.counter("arcs_built", flow.arcs_built);
-        root.counter("ggt_recursions", flow.ggt_recursions);
     }
     drop(root);
 
@@ -430,15 +422,6 @@ fn cmd_topk(args: &mut Args) -> Result<(), String> {
             flow.warm_hit_rate() * 100.0,
             flow.arcs_built,
         );
-        if flow.ggt_recursions > 0 {
-            eprintln!(
-                "ggt:  {} recursions (depth {}) | {} nodes contracted | {} arcs saved",
-                flow.ggt_recursions,
-                flow.ggt_max_depth,
-                flow.ggt_contracted_nodes,
-                flow.ggt_arcs_saved,
-            );
-        }
     }
     Ok(())
 }
@@ -526,13 +509,12 @@ fn cmd_stats(args: &mut Args) -> Result<(), String> {
         println!("pattern:     {p} ({count} instances)");
     }
     println!(
-        "flow:        {} networks, {} solves ({} warm / {} retract / {} cold), {} ggt recursions",
+        "flow:        {} networks, {} solves ({} warm / {} retract / {} cold)",
         flow.networks_built,
         flow.max_flow_invocations,
         flow.warm_solves,
         flow.retract_solves,
         flow.cold_solves(),
-        flow.ggt_recursions,
     );
     Ok(())
 }
@@ -1085,32 +1067,6 @@ mod tests {
         .is_err());
         assert!(run(vec!["topk".into(), "--quiet".into()]).is_err());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn flow_reuse_flag_parses_all_tiers() {
-        for tier in ["scratch", "warm", "ggt"] {
-            run(vec![
-                "topk".into(),
-                "--graph".into(),
-                fixture(),
-                "--k".into(),
-                "2".into(),
-                "--flow-reuse".into(),
-                tier.into(),
-                "--quiet".into(),
-            ])
-            .unwrap();
-        }
-        assert!(run(vec![
-            "topk".into(),
-            "--graph".into(),
-            fixture(),
-            "--flow-reuse".into(),
-            "eager".into(),
-            "--quiet".into(),
-        ])
-        .is_err());
     }
 
     #[test]

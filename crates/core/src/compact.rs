@@ -34,18 +34,16 @@
 //! ρ-dependent terminal capacities. [`InstanceSolver`] therefore builds
 //! **one** [`ParametricNetwork`] per instance (lazily, on the first
 //! probe) and re-tunes it between solves, warm-starting from the
-//! retained residual flow when the change is monotone. The free
-//! functions below are thin compatibility wrappers that build a
-//! throwaway solver; hot paths hold an `InstanceSolver` instead.
-//! Because minimal/maximal min-cut source sides are canonical
+//! retained residual flow when the change is monotone and retracting
+//! it along its own paths when a capacity decreases. Because
+//! minimal/maximal min-cut source sides are canonical
 //! (flow-independent) and uniform capacity scaling preserves them, the
-//! reuse path is bit-identical to rebuilding from scratch — pinned by
-//! the `flow_reuse` equivalence suites.
+//! retained network answers exactly like a fresh one per probe —
+//! pinned against fresh solvers in this crate's integration tests.
 
 use lhcds_clique::CliqueSet;
-use lhcds_flow::parametric::ReusePolicy;
 use lhcds_flow::rational::lcm_up_to;
-use lhcds_flow::{FlowReuse, GgtSolver, ParametricNetwork, Ratio};
+use lhcds_flow::{ParametricNetwork, Ratio};
 use lhcds_graph::VertexId;
 
 /// A clique of the parent graph that straddles the local universe:
@@ -168,58 +166,35 @@ pub fn local_instance(cliques: &CliqueSet, set: &[VertexId]) -> (LocalInstance, 
 /// terminal arcs (`s → v`, `v → t`) and the boundary in-arcs are
 /// *parametric* and re-tuned per probe. Every probe of every method
 /// reuses the same [`ParametricNetwork`], warm-starting when the
-/// capacity change is monotone.
-///
-/// The [`FlowReuse`] tier ([`InstanceSolver::with_reuse`]) picks the
-/// cost model: [`FlowReuse::Scratch`] rebuilds the network before every
-/// solve (the pre-parametric model), [`FlowReuse::Warm`] keeps it but
-/// resets the flow on capacity decreases (PR 5), and the default
-/// [`FlowReuse::Ggt`] never resets — decreases retract the flow along
-/// its own paths, and the full-ladder entry point
-/// [`InstanceSolver::ggt_ladder`] replaces the probe schedule by GGT
-/// divide-and-conquer. Results are bit-identical across all tiers.
+/// capacity change is monotone and retracting the flow on decreases.
 ///
 /// The instance parameter is generic over ownership: long-lived holders
 /// (the IPPV driver's [`crate::verify::BasicVerifier`], the
 /// dense-decomposition ladder) own their `LocalInstance`, while
-/// one-shot callers (the free wrapper functions below) borrow it —
-/// neither pays a copy of the clique slab.
+/// one-shot callers borrow it — neither pays a copy of the clique slab.
 #[derive(Debug, Clone)]
 pub struct InstanceSolver<I: std::borrow::Borrow<LocalInstance> = LocalInstance> {
     inst: I,
-    reuse: FlowReuse,
-    boundary_enabled: bool,
-    /// Worker threads for [`InstanceSolver::ggt_ladder`]'s GGT
-    /// recursion (1 = serial; the result never depends on it).
-    threads: usize,
     net: Option<ParametricNetwork>,
-    /// Per-vertex base-scale degree from interior cliques.
-    deg_interior: Vec<i128>,
-    /// Per-vertex base-scale degree from boundary cliques.
-    deg_boundary: Vec<i128>,
+    /// Per-vertex base-scale degree from interior and boundary cliques.
+    deg: Vec<i128>,
     /// Base-scale capacity of each boundary in-arc, in network order.
     boundary_in_base: Vec<i128>,
 }
 
 impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
-    /// Wraps `inst` (owned or borrowed) at the default reuse tier
-    /// ([`FlowReuse::Ggt`]).
+    /// Wraps `inst` (owned or borrowed); the network is built on the
+    /// first probe.
     pub fn new(inst: I) -> InstanceSolver<I> {
-        InstanceSolver::with_reuse(inst, FlowReuse::default())
-    }
-
-    /// Wraps `inst` at an explicit [`FlowReuse`] tier.
-    pub fn with_reuse(inst: I, reuse: FlowReuse) -> InstanceSolver<I> {
         let instance = inst.borrow();
         let n = instance.n;
         let h = instance.h as i128;
         let base = lcm_up_to(instance.h as u32);
-        let mut deg_interior = vec![0i128; n];
-        let mut deg_boundary = vec![0i128; n];
+        let mut deg = vec![0i128; n];
         let mut boundary_in_base = Vec::new();
         for members in instance.full.chunks_exact(instance.h) {
             for &v in members {
-                deg_interior[v as usize] += base;
+                deg[v as usize] += base;
             }
         }
         for b in &instance.boundary {
@@ -227,45 +202,21 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
             debug_assert!(cnt >= 1 && cnt < h, "boundary clique must straddle");
             let incap = h * base / cnt; // exact: cnt | lcm(1..=h)
             for &v in &b.inside {
-                deg_boundary[v as usize] += incap;
+                deg[v as usize] += incap;
                 boundary_in_base.push(incap);
             }
         }
         InstanceSolver {
             inst,
-            reuse,
-            boundary_enabled: true,
-            threads: 1,
             net: None,
-            deg_interior,
-            deg_boundary,
+            deg,
             boundary_in_base,
         }
-    }
-
-    /// Sets the worker-thread count for [`InstanceSolver::ggt_ladder`]'s
-    /// divide-and-conquer (clamped to at least 1). Ladder output is
-    /// byte-identical at every thread count; only wall time changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// The wrapped instance.
     pub fn instance(&self) -> &LocalInstance {
         self.inst.borrow()
-    }
-
-    /// Enables/disables the boundary cliques *in the shared network*
-    /// (their in-arcs drop to capacity 0 and their degree contribution
-    /// vanishes): the Figure 6 vs Figure 7 ablation on one network
-    /// instead of two — the hook behind the ISSUE's "share the instance
-    /// network across boundary-clique variants" (exercised by the
-    /// ablation-oriented tests; production pipelines keep the default).
-    /// Affects [`InstanceSolver::derive_compact`]-style probes; the
-    /// decomposition methods require the default (enabled) state so
-    /// clique counting and the network agree.
-    pub fn set_boundary_enabled(&mut self, on: bool) {
-        self.boundary_enabled = on;
     }
 
     /// Builds the arc structure once; capacities are installed per
@@ -307,9 +258,6 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
     /// `forced` vertices to the source side with an effectively
     /// infinite `s → v` capacity) and solves it.
     fn solve(&mut self, rho: Ratio, forced: Option<&[bool]>) {
-        if self.reuse == FlowReuse::Scratch {
-            self.net = None;
-        }
         if self.net.is_none() {
             self.net = Some(Self::build_network(self.inst.borrow()));
         }
@@ -333,32 +281,15 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
             .saturating_add(1);
         let mut caps = Vec::with_capacity(pn.param_count());
         for v in 0..n {
-            let dv = self.deg_interior[v]
-                + if self.boundary_enabled {
-                    self.deg_boundary[v]
-                } else {
-                    0
-                };
             caps.push(if forced.is_some_and(|f| f[v]) {
                 inf
             } else {
-                dv * factor
+                self.deg[v] * factor
             });
         }
         caps.resize(2 * n, vt_cap);
-        for &incap in &self.boundary_in_base {
-            caps.push(if self.boundary_enabled {
-                incap * factor
-            } else {
-                0
-            });
-        }
-        let policy = if self.reuse == FlowReuse::Ggt {
-            ReusePolicy::Retract
-        } else {
-            ReusePolicy::Reset
-        };
-        pn.solve_with(scale, &caps, policy);
+        caps.extend(self.boundary_in_base.iter().map(|&incap| incap * factor));
+        pn.solve(scale, &caps);
     }
 
     fn vertex_side(&self, side: &[bool]) -> Vec<bool> {
@@ -408,10 +339,6 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
     /// iteration performs at most `n` max-flows (2–5 in practice) — all
     /// on the one retained network, warm-started while ρ climbs.
     pub fn densest_decomposition(&mut self) -> Option<(Ratio, Vec<bool>)> {
-        assert!(
-            self.boundary_enabled || self.instance().boundary.is_empty(),
-            "decomposition needs the boundary cliques enabled"
-        );
         if self.instance().n == 0 || self.instance().clique_count() == 0 {
             return None;
         }
@@ -446,10 +373,6 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
     /// in any clique gain. One retained network serves the whole ladder
     /// across calls with growing `forced` sets.
     pub fn next_density_level(&mut self, forced: &[bool]) -> Option<(Ratio, Vec<bool>)> {
-        assert!(
-            self.boundary_enabled || self.instance().boundary.is_empty(),
-            "decomposition needs the boundary cliques enabled"
-        );
         let n = self.instance().n;
         let forced_count = forced.iter().filter(|&&f| f).count();
         if n == 0 || forced_count == n {
@@ -503,93 +426,6 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
         debug_assert!(level.iter().any(|&b| b), "level must be non-empty");
         Some((best, level))
     }
-
-    /// The *entire* dense-decomposition ladder in one GGT
-    /// divide-and-conquer: marginal densities with their level
-    /// memberships, strictly descending, computed on a single shared
-    /// network whose flow is never reset (see [`GgtSolver`]).
-    ///
-    /// The instance network is exactly a GGT parametric family — the
-    /// `s → v` clique-degree arcs are constant and the `v → t` arcs grow
-    /// as `ρ·h` — and its principal-partition breakpoints are the
-    /// marginal densities, with the partition classes the levels. Levels
-    /// at density ≤ 0 (vertices in no clique) are part of the raw
-    /// partition; callers building a [`crate::density::DenseDecomposition`]
-    /// drop them, exactly like the probe-walk path does.
-    pub fn ggt_ladder(&mut self) -> Vec<(Ratio, Vec<bool>)> {
-        assert!(
-            self.boundary_enabled || self.instance().boundary.is_empty(),
-            "decomposition needs the boundary cliques enabled"
-        );
-        let inst = self.inst.borrow();
-        let n = inst.n;
-        if n == 0 {
-            return Vec::new();
-        }
-        let h = inst.h as i128;
-        let fc = inst.clique_count();
-        let bc = inst.boundary.len();
-        let t = (1 + n + fc + bc) as u32;
-        let base = lcm_up_to(inst.h as u32);
-        // Same node layout and capacities as `build_network`, with the
-        // terminal arcs as the λ-ladder: src = clique degree, slope = h.
-        let mut g = GgtSolver::new(t as usize + 1, 0, t, base);
-        for v in 0..n {
-            let dv = self.deg_interior[v] + self.deg_boundary[v];
-            g.ladder_node((v + 1) as u32, dv, h);
-        }
-        for (i, members) in inst.full.chunks_exact(inst.h).enumerate() {
-            let cnode = (1 + n + i) as u32;
-            for &v in members {
-                g.add_static(v + 1, cnode, base);
-                g.add_static(cnode, v + 1, (h - 1) * base);
-            }
-        }
-        for (j, b) in inst.boundary.iter().enumerate() {
-            let cnode = (1 + n + fc + j) as u32;
-            let cnt = b.inside.len() as i128;
-            for &v in &b.inside {
-                g.add_static(v + 1, cnode, h * base / cnt);
-                g.add_static(cnode, v + 1, (h - 1) * base);
-            }
-        }
-        g.principal_partition_par(self.threads)
-    }
-}
-
-/// Minimal maximizer of `|Ψ(A)| − ρ|A|` over vertex subsets (see
-/// [`InstanceSolver::max_excess_set`]). Compatibility wrapper over a
-/// throwaway borrowing solver; probe-heavy callers should hold an
-/// [`InstanceSolver`].
-pub fn max_excess_set(inst: &LocalInstance, rho: Ratio) -> Vec<bool> {
-    InstanceSolver::new(inst).max_excess_set(rho)
-}
-
-/// `IsDensest` (see [`InstanceSolver::is_densest`]). Compatibility
-/// wrapper over a throwaway solver.
-pub fn is_densest(inst: &LocalInstance, rho: Ratio) -> bool {
-    InstanceSolver::new(inst).is_densest(rho)
-}
-
-/// `DeriveCompact(G, ρ − 1/n², P)` (see
-/// [`InstanceSolver::derive_compact`]). Compatibility wrapper over a
-/// throwaway solver.
-pub fn derive_compact(inst: &LocalInstance, rho: Ratio) -> Vec<bool> {
-    InstanceSolver::new(inst).derive_compact(rho)
-}
-
-/// Exact densest-subgraph decomposition (see
-/// [`InstanceSolver::densest_decomposition`]). The wrapper still reuses
-/// one network across the whole Goldberg ladder of this call.
-pub fn densest_decomposition(inst: &LocalInstance) -> Option<(Ratio, Vec<bool>)> {
-    InstanceSolver::new(inst).densest_decomposition()
-}
-
-/// Marginal-density step (see
-/// [`InstanceSolver::next_density_level`]). Ladder-walking callers
-/// should hold an [`InstanceSolver`] so all levels share one network.
-pub fn next_density_level(inst: &LocalInstance, forced: &[bool]) -> Option<(Ratio, Vec<bool>)> {
-    InstanceSolver::new(inst).next_density_level(forced)
 }
 
 /// Number of interior cliques fully inside `set` plus boundary cliques
@@ -654,9 +490,9 @@ mod tests {
         let inst = instance_of(&complete(6), 3);
         let rho = inst.density().unwrap();
         assert_eq!(rho, Ratio::new(20, 6));
-        assert!(is_densest(&inst, rho));
+        assert!(InstanceSolver::new(&inst).is_densest(rho));
         // but not densest at any smaller threshold
-        assert!(!is_densest(&inst, rho - Ratio::new(1, 100)));
+        assert!(!InstanceSolver::new(&inst).is_densest(rho - Ratio::new(1, 100)));
     }
 
     #[test]
@@ -672,9 +508,9 @@ mod tests {
         let inst = instance_of(&b.build(), 3);
         let rho = inst.density().unwrap();
         assert_eq!(rho, Ratio::new(10, 6));
-        assert!(!is_densest(&inst, rho));
+        assert!(!InstanceSolver::new(&inst).is_densest(rho));
         // the excess set is exactly the K5
-        let set = max_excess_set(&inst, rho);
+        let set = InstanceSolver::new(&inst).max_excess_set(rho);
         assert_eq!(set, vec![true, true, true, true, true, false]);
     }
 
@@ -688,7 +524,7 @@ mod tests {
         }
         b.add_edge(4, 5).add_edge(5, 6);
         let inst = instance_of(&b.build(), 3);
-        let (rho, members) = densest_decomposition(&inst).unwrap();
+        let (rho, members) = InstanceSolver::new(&inst).densest_decomposition().unwrap();
         assert_eq!(rho, Ratio::from_int(2)); // 10 triangles / 5 vertices
         assert_eq!(members, vec![true, true, true, true, true, false, false]);
     }
@@ -706,7 +542,7 @@ mod tests {
             }
         }
         let inst = instance_of(&b.build(), 3);
-        let (rho, members) = densest_decomposition(&inst).unwrap();
+        let (rho, members) = InstanceSolver::new(&inst).densest_decomposition().unwrap();
         assert_eq!(rho, Ratio::from_int(1));
         assert!(members.iter().all(|&m| m));
     }
@@ -715,7 +551,7 @@ mod tests {
     fn clique_free_universe_has_no_decomposition() {
         let g = CsrGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
         let inst = instance_of(&g, 3);
-        assert!(densest_decomposition(&inst).is_none());
+        assert!(InstanceSolver::new(&inst).densest_decomposition().is_none());
     }
 
     #[test]
@@ -732,10 +568,10 @@ mod tests {
             }
         }
         let inst = instance_of(&b.build(), 3);
-        let (rho, members) = densest_decomposition(&inst).unwrap();
+        let (rho, members) = InstanceSolver::new(&inst).densest_decomposition().unwrap();
         assert_eq!(rho, Ratio::new(13, 6));
         assert!(members.iter().all(|&m| m));
-        assert!(is_densest(&inst, rho));
+        assert!(InstanceSolver::new(&inst).is_densest(rho));
     }
 
     #[test]
@@ -752,13 +588,13 @@ mod tests {
         let all = vec![true, true];
         assert_eq!(count_inside(&inst, &all), 1);
         // at rho = 1/2 the pair is exactly compact: no denser subset
-        assert!(is_densest(&inst, Ratio::new(1, 2)));
+        assert!(InstanceSolver::new(&inst).is_densest(Ratio::new(1, 2)));
         // at a smaller threshold the pair (or a single vertex) has
         // positive excess
-        let set = max_excess_set(&inst, Ratio::new(1, 3));
+        let set = InstanceSolver::new(&inst).max_excess_set(Ratio::new(1, 3));
         assert!(set.iter().any(|&b| b));
         // derive_compact at 1/2 keeps both members
-        let kept = derive_compact(&inst, Ratio::new(1, 2));
+        let kept = InstanceSolver::new(&inst).derive_compact(Ratio::new(1, 2));
         assert_eq!(kept, vec![true, true]);
     }
 
@@ -773,15 +609,15 @@ mod tests {
         }
         b.add_edge(4, 5);
         let inst = instance_of(&b.build(), 3);
-        let kept = derive_compact(&inst, Ratio::from_int(2));
+        let kept = InstanceSolver::new(&inst).derive_compact(Ratio::from_int(2));
         assert_eq!(kept, vec![true, true, true, true, true, false]);
     }
 
     #[test]
-    fn solver_reuse_matches_scratch_on_a_ladder() {
+    fn retained_network_matches_fresh_solvers_on_a_ladder() {
         // K5 + pendant + tail: the decomposition ladder runs several
-        // probes; a single reused network must answer each identically
-        // to the rebuild-per-probe mode, and to the free wrappers.
+        // probes; the one retained network must answer each probe of a
+        // non-monotone schedule exactly like a fresh solver.
         let mut b = GraphBuilder::new();
         for u in 0..5u32 {
             for v in u + 1..5 {
@@ -789,119 +625,27 @@ mod tests {
             }
         }
         b.add_edge(4, 5).add_edge(5, 6);
-        let g = b.build();
-        let cs = CliqueSet::enumerate(&g, 3);
-        let all: Vec<VertexId> = g.vertices().collect();
-        let (inst, _) = local_instance(&cs, &all);
-
-        let mut reused = InstanceSolver::new(inst.clone());
-        let a = reused.densest_decomposition().unwrap();
-        for tier in [FlowReuse::Scratch, FlowReuse::Warm, FlowReuse::Ggt] {
-            let mut s = InstanceSolver::with_reuse(inst.clone(), tier);
-            assert_eq!(a, s.densest_decomposition().unwrap(), "{tier}");
-        }
-        assert_eq!(a, densest_decomposition(&inst).unwrap());
-        // (the work-counter contracts — one network per ladder, warm
-        // hits along it — live in tests/flow_reuse.rs, which owns its
-        // process so the global counters are quiet)
-
-        // per-threshold probes agree too, on yet another shared network
-        let mut probe = InstanceSolver::new(inst.clone());
+        let inst = instance_of(&b.build(), 3);
+        let mut retained = InstanceSolver::new(&inst);
+        assert_eq!(
+            retained.densest_decomposition(),
+            InstanceSolver::new(&inst).densest_decomposition()
+        );
+        // (the work-counter contracts — one network per ladder, no
+        // resets along it — live in the integration tests, which own
+        // their process so the global counters are quiet)
         for rho in [
             Ratio::zero(),
-            Ratio::new(1, 3),
-            Ratio::new(10, 6),
-            Ratio::from_int(2),
             Ratio::new(5, 2),
+            Ratio::new(1, 3),
+            Ratio::from_int(2),
+            Ratio::new(10, 6),
         ] {
-            assert_eq!(probe.max_excess_set(rho), max_excess_set(&inst, rho));
-            assert_eq!(probe.derive_compact(rho), derive_compact(&inst, rho));
-            assert_eq!(probe.is_densest(rho), is_densest(&inst, rho));
+            let fresh = || InstanceSolver::new(&inst);
+            assert_eq!(retained.max_excess_set(rho), fresh().max_excess_set(rho));
+            assert_eq!(retained.derive_compact(rho), fresh().derive_compact(rho));
+            assert_eq!(retained.is_densest(rho), fresh().is_densest(rho));
         }
-    }
-
-    /// Walks the marginal-density ladder probe-by-probe (the Goldberg
-    /// path) and returns `(density, level-mask)` pairs, for comparing
-    /// against [`InstanceSolver::ggt_ladder`].
-    fn walk_ladder(inst: &LocalInstance) -> Vec<(Ratio, Vec<bool>)> {
-        let mut solver = InstanceSolver::with_reuse(inst, FlowReuse::Scratch);
-        let mut forced = vec![false; inst.n];
-        let mut out = Vec::new();
-        while let Some((rho, level)) = solver.next_density_level(&forced) {
-            for (f, &l) in forced.iter_mut().zip(&level) {
-                *f = *f || l;
-            }
-            out.push((rho, level));
-        }
-        out
-    }
-
-    #[test]
-    fn ggt_ladder_matches_the_probe_walk() {
-        // K5 + pendant + tail (three levels incl. density-0 fringe) and
-        // the Figure 2 S1 block (a single level: degenerate ladder)
-        let mut b = GraphBuilder::new();
-        for u in 0..5u32 {
-            for v in u + 1..5 {
-                b.add_edge(u, v);
-            }
-        }
-        b.add_edge(4, 5).add_edge(5, 6);
-        for inst in [instance_of(&b.build(), 3), instance_of(&complete(6), 3)] {
-            let ggt = InstanceSolver::new(inst.clone()).ggt_ladder();
-            let walk = walk_ladder(&inst);
-            // the walk stops before density-0 fringes; the raw GGT
-            // partition includes them as breakpoint-0 classes
-            let positive: Vec<_> = ggt
-                .iter()
-                .filter(|(rho, _)| *rho > Ratio::zero())
-                .cloned()
-                .collect();
-            let walk_pos: Vec<_> = walk
-                .into_iter()
-                .filter(|(rho, _)| *rho > Ratio::zero())
-                .collect();
-            assert_eq!(positive, walk_pos);
-        }
-    }
-
-    #[test]
-    fn ggt_ladder_covers_boundary_cliques() {
-        let inst = LocalInstance {
-            n: 2,
-            h: 3,
-            full: Vec::new(),
-            boundary: vec![BoundaryClique { inside: vec![0, 1] }],
-        };
-        let ladder = InstanceSolver::new(inst.clone()).ggt_ladder();
-        assert_eq!(ladder, vec![(Ratio::new(1, 2), vec![true, true])]);
-    }
-
-    #[test]
-    fn boundary_toggle_shares_one_network_across_variants() {
-        // An edge with one boundary triangle: with the boundary clique
-        // enabled the pair is 1/2-compact; disabled, the instance holds
-        // no clique at all and DeriveCompact keeps nothing.
-        let inst = LocalInstance {
-            n: 2,
-            h: 3,
-            full: Vec::new(),
-            boundary: vec![BoundaryClique { inside: vec![0, 1] }],
-        };
-        let mut solver = InstanceSolver::new(inst.clone());
-        assert_eq!(solver.derive_compact(Ratio::new(1, 2)), vec![true, true]);
-        solver.set_boundary_enabled(false);
-        assert_eq!(solver.derive_compact(Ratio::new(1, 2)), vec![false, false]);
-        solver.set_boundary_enabled(true);
-        assert_eq!(solver.derive_compact(Ratio::new(1, 2)), vec![true, true]);
-        // the disabled variant equals a boundary-free instance
-        let bare = LocalInstance {
-            n: 2,
-            h: 3,
-            full: Vec::new(),
-            boundary: Vec::new(),
-        };
-        assert_eq!(derive_compact(&bare, Ratio::new(1, 2)), vec![false, false]);
     }
 
     #[test]
@@ -912,8 +656,12 @@ mod tests {
             full: Vec::new(),
             boundary: Vec::new(),
         };
-        assert!(max_excess_set(&inst, Ratio::from_int(1)).is_empty());
-        assert!(derive_compact(&inst, Ratio::from_int(1)).is_empty());
+        assert!(InstanceSolver::new(&inst)
+            .max_excess_set(Ratio::from_int(1))
+            .is_empty());
+        assert!(InstanceSolver::new(&inst)
+            .derive_compact(Ratio::from_int(1))
+            .is_empty());
         assert!(inst.density().is_none());
     }
 }

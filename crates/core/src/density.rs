@@ -11,7 +11,7 @@
 //! at the maximum subgraph density `ρ*`; each subsequent level
 //! maximizes the *marginal* density over supersets of the union of the
 //! higher levels (the classic principal-partition construction, solved
-//! by [`crate::compact::next_density_level`] with the higher levels
+//! by [`InstanceSolver::next_density_level`] with the higher levels
 //! pinned to the source side of the cut).
 //!
 //! Exact compact numbers are a strictly stronger deliverable than the
@@ -22,7 +22,7 @@
 
 use crate::compact::{local_instance, InstanceSolver};
 use lhcds_clique::CliqueSet;
-use lhcds_flow::{FlowReuse, Ratio};
+use lhcds_flow::Ratio;
 use lhcds_graph::{CsrGraph, VertexId};
 
 /// One level of the dense decomposition.
@@ -57,36 +57,6 @@ pub fn dense_decomposition(g: &CsrGraph, h: usize) -> DenseDecomposition {
 /// Same as [`dense_decomposition`] with a pre-built instance store
 /// (also used for general pattern decompositions).
 pub fn dense_decomposition_with(g: &CsrGraph, cliques: &CliqueSet) -> DenseDecomposition {
-    dense_decomposition_opts(g, cliques, FlowReuse::default())
-}
-
-/// [`dense_decomposition_with`] with the flow-network reuse tier
-/// explicit. Under [`FlowReuse::Ggt`] (the default) the whole ladder is
-/// one GGT principal-partition divide-and-conquer on a single
-/// never-reset network ([`InstanceSolver::ggt_ladder`]); the other
-/// tiers walk the marginal-density probe schedule, with
-/// [`FlowReuse::Warm`] retaining one network across the walk and
-/// [`FlowReuse::Scratch`] rebuilding per probe (the historical cost
-/// model; the `flowreuse` bench A/Bs all three). Output is bit-identical
-/// across tiers.
-pub fn dense_decomposition_opts(
-    g: &CsrGraph,
-    cliques: &CliqueSet,
-    flow_reuse: FlowReuse,
-) -> DenseDecomposition {
-    dense_decomposition_threaded(g, cliques, flow_reuse, 1)
-}
-
-/// [`dense_decomposition_opts`] with an explicit worker-thread count
-/// for the GGT divide-and-conquer (ignored by the probe-walk tiers,
-/// which are inherently sequential — each probe's threshold depends on
-/// the previous cut). Output is byte-identical at every thread count.
-pub fn dense_decomposition_threaded(
-    g: &CsrGraph,
-    cliques: &CliqueSet,
-    flow_reuse: FlowReuse,
-    threads: usize,
-) -> DenseDecomposition {
     let n = g.n();
     let mut phi = vec![Ratio::zero(); n];
     let mut levels = Vec::new();
@@ -95,31 +65,8 @@ pub fn dense_decomposition_threaded(
     }
     let all: Vec<VertexId> = g.vertices().collect();
     let (inst, map) = local_instance(cliques, &all);
-    let mut solver = InstanceSolver::with_reuse(inst, flow_reuse);
-    solver.set_threads(threads);
-
-    if flow_reuse == FlowReuse::Ggt {
-        // One divide-and-conquer recovers every level; the classes come
-        // back in strictly descending breakpoint order, exactly like
-        // the probe walk emits them.
-        for (density, level_mask) in solver.ggt_ladder() {
-            if density <= Ratio::zero() {
-                continue; // vertices in no clique: φ stays 0
-            }
-            let mut vertices = Vec::new();
-            for (local, &m) in level_mask.iter().enumerate() {
-                if m {
-                    let v = map[local];
-                    phi[v as usize] = density;
-                    vertices.push(v);
-                }
-            }
-            vertices.sort_unstable();
-            levels.push(DensityLevel { density, vertices });
-        }
-        return DenseDecomposition { levels, phi };
-    }
-
+    // One retained network serves the whole marginal-density walk.
+    let mut solver = InstanceSolver::new(inst);
     let mut forced = vec![false; solver.instance().n];
     let mut last: Option<Ratio> = None;
     while let Some((density, level_mask)) = solver.next_density_level(&forced) {
@@ -258,39 +205,33 @@ mod tests {
     }
 
     #[test]
-    fn ladder_shares_one_network_and_matches_scratch() {
+    fn retained_ladder_matches_fresh_solvers_per_level() {
         // K5, K4, triangle at distinct levels: a multi-level ladder.
         let mut b = GraphBuilder::new();
         complete_on(&mut b, &[0, 1, 2, 3, 4]);
         complete_on(&mut b, &[5, 6, 7, 8]);
         b.add_edge(9, 10).add_edge(10, 11).add_edge(11, 9);
         let g = b.build();
+        let d = dense_decomposition(&g, 3);
+        assert_eq!(d.levels.len(), 3);
+        // oracle: a fresh solver (and network) for every level
         let cliques = CliqueSet::enumerate(&g, 3);
-        let scratch = dense_decomposition_opts(&g, &cliques, FlowReuse::Scratch);
-        assert_eq!(scratch.levels.len(), 3);
-        for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-            let d = dense_decomposition_opts(&g, &cliques, tier);
-            assert_eq!(d.levels, scratch.levels, "{tier} tier diverged");
-            assert_eq!(d.phi, scratch.phi, "{tier} tier diverged");
+        let all: Vec<VertexId> = g.vertices().collect();
+        let (inst, map) = local_instance(&cliques, &all);
+        let mut forced = vec![false; inst.n];
+        for level in &d.levels {
+            let (rho, mask) = InstanceSolver::new(&inst)
+                .next_density_level(&forced)
+                .expect("one more level");
+            let vertices: Vec<VertexId> =
+                (0..inst.n).filter(|&l| mask[l]).map(|l| map[l]).collect();
+            assert_eq!((rho, vertices), (level.density, level.vertices.clone()));
+            for (f, m) in forced.iter_mut().zip(&mask) {
+                *f |= m;
+            }
         }
-        // (the one-network-per-ladder counter contract lives in
-        // tests/flow_reuse.rs, whose process owns the global counters)
-    }
-
-    #[test]
-    fn threaded_ggt_ladder_is_byte_identical() {
-        let mut b = GraphBuilder::new();
-        complete_on(&mut b, &[0, 1, 2, 3, 4]);
-        complete_on(&mut b, &[5, 6, 7, 8]);
-        b.add_edge(9, 10).add_edge(10, 11).add_edge(11, 9);
-        let g = b.build();
-        let cliques = CliqueSet::enumerate(&g, 3);
-        let serial = dense_decomposition_opts(&g, &cliques, FlowReuse::Ggt);
-        for threads in [2usize, 4, 8] {
-            let d = dense_decomposition_threaded(&g, &cliques, FlowReuse::Ggt, threads);
-            assert_eq!(d.levels, serial.levels, "{threads} threads diverged");
-            assert_eq!(d.phi, serial.phi, "{threads} threads diverged");
-        }
+        // (the one-network-per-ladder counter contract lives in the
+        // integration tests, which own their process's counters)
     }
 
     #[test]

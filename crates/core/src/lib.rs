@@ -68,10 +68,9 @@ pub use bounds::{initialize_bounds, Bounds};
 pub use compact::InstanceSolver;
 pub use index::{DecompositionIndex, IndexConfig, QueryError, SubgraphView};
 pub use pipeline::{top_k_lhcds, IppvConfig, IppvResult, IppvStats, Lhcds};
-// The exact-rational density currency of the whole pipeline, the
+// The exact-rational density currency of the whole pipeline and the
 // flow-layer work counters (networks/arcs built, flow invocations,
-// warm/retract/cold parametric solves, GGT recursion telemetry), and
-// the flow-reuse tier selector. Re-exported so higher layers (patterns,
-// baselines, service, the facade's consumers) never need a direct
-// dependency on the flow substrate.
-pub use lhcds_flow::{flow_stats, FlowReuse, FlowStats, Ratio};
+// warm/retract/cold parametric solves). Re-exported so higher layers
+// (patterns, baselines, service, the facade's consumers) never need a
+// direct dependency on the flow substrate.
+pub use lhcds_flow::{flow_stats, FlowStats, Ratio};

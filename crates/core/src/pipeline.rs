@@ -61,7 +61,7 @@ use crate::prune::prune;
 use crate::stable::derive_stable_groups;
 use crate::verify::{verify_fast_with, BasicVerifier, FastConfig, FastVerifier, Verdict};
 use lhcds_clique::{CliqueSet, Parallelism};
-use lhcds_flow::{FlowReuse, Ratio};
+use lhcds_flow::Ratio;
 use lhcds_graph::traversal::components_within;
 use lhcds_graph::{CsrGraph, VertexId};
 
@@ -92,18 +92,6 @@ pub struct IppvConfig {
     /// byte-identical for every policy, so this setting affects wall
     /// time only, never results.
     pub parallelism: Parallelism,
-    /// Flow-network reuse tier. [`FlowReuse::Scratch`] rebuilds a
-    /// network per ρ-probe (the historical cost model),
-    /// [`FlowReuse::Warm`] retains one [`InstanceSolver`] network per
-    /// candidate region / basic-verifier run and warm-starts monotone
-    /// re-solves, and the default [`FlowReuse::Ggt`] never resets a
-    /// flow: decomposition ladders run as one GGT principal-partition
-    /// divide-and-conquer, and the fast verifier's flow-deciding calls
-    /// share one memoized clique-support network re-tuned per
-    /// candidate. Affects wall time and the flow work counters only —
-    /// every output is bit-identical (pinned by the `flow_reuse` and
-    /// `verifier_identity` equivalence suites).
-    pub flow_reuse: FlowReuse,
 }
 
 impl Default for IppvConfig {
@@ -116,7 +104,6 @@ impl Default for IppvConfig {
             use_cp: true,
             use_prune: true,
             parallelism: Parallelism::serial(),
-            flow_reuse: FlowReuse::default(),
         }
     }
 }
@@ -193,13 +180,33 @@ pub struct IppvResult {
 /// `h ≥ 2` (h-cliques degenerate to vertices at `h = 1`). Use
 /// `k = usize::MAX` to list every LhCDS.
 pub fn top_k_lhcds(g: &CsrGraph, h: usize, k: usize, cfg: &IppvConfig) -> IppvResult {
+    top_k_enumerated(g, h, k, cfg, true)
+}
+
+/// [`top_k_lhcds`] with every flow-deciding fast verification on its own
+/// per-candidate reduced network (`verify_fast_with(.., None)`) instead
+/// of the shared memoized [`FastVerifier`]: the oracle the production
+/// path is tested against. Same driver, same verify schedule, same
+/// answers; only the flow work differs.
+#[doc(hidden)]
+pub fn top_k_reference(g: &CsrGraph, h: usize, k: usize, cfg: &IppvConfig) -> IppvResult {
+    top_k_enumerated(g, h, k, cfg, false)
+}
+
+fn top_k_enumerated(
+    g: &CsrGraph,
+    h: usize,
+    k: usize,
+    cfg: &IppvConfig,
+    share_fast: bool,
+) -> IppvResult {
     assert!(h >= 2, "LhCDS requires h >= 2 (h = 2 is the classic LDS)");
     let sp = lhcds_obs::span("enumerate");
     let cliques = CliqueSet::enumerate_with(g, h, &cfg.parallelism);
     let clique_ms = sp.elapsed_ms();
     sp.counter("cliques", cliques.len() as u64);
     drop(sp);
-    let mut res = top_k_with_instances(g, &cliques, k, cfg);
+    let mut res = run_pipeline(g, &cliques, k, cfg, share_fast);
     res.stats.clique_ms = clique_ms;
     res
 }
@@ -214,6 +221,16 @@ pub fn top_k_with_instances(
     cliques: &CliqueSet,
     k: usize,
     cfg: &IppvConfig,
+) -> IppvResult {
+    run_pipeline(g, cliques, k, cfg, true)
+}
+
+fn run_pipeline(
+    g: &CsrGraph,
+    cliques: &CliqueSet,
+    k: usize,
+    cfg: &IppvConfig,
+    share_fast: bool,
 ) -> IppvResult {
     assert_eq!(cliques.n(), g.n(), "instance store does not match graph");
     let mut stats = IppvStats {
@@ -303,6 +320,7 @@ pub fn top_k_with_instances(
         results: Vec::new(),
         basic: None,
         fast_shared: None,
+        share_fast,
         threads: cfg.parallelism.effective_threads(g.n()),
         decomp_cache: std::collections::HashMap::new(),
         stats: &mut stats,
@@ -376,10 +394,12 @@ struct Driver<'a> {
     /// differs) is constructed once per run, not once per verification.
     basic: Option<BasicVerifier>,
     /// Shared memoized network for the fast verifier's flow-deciding
-    /// calls, built lazily on first use. Engaged only at the
-    /// [`FlowReuse::Ggt`] tier without boundary-clique inflation; other
-    /// configurations keep the per-candidate reduced networks.
+    /// calls, built lazily on first use. Boundary-clique inflation
+    /// keeps the per-candidate reduced networks.
     fast_shared: Option<FastVerifier>,
+    /// Whether `fast_shared` is engaged (false only for
+    /// [`top_k_reference`], the per-candidate oracle).
+    share_fast: bool,
     /// Worker threads for the verification stream (1 = serial driver).
     threads: usize,
     /// Pure local-decomposition results computed speculatively by the
@@ -531,7 +551,6 @@ impl<'a> Driver<'a> {
     /// is what lets the wave workers run this concurrently.
     fn decompose_component(
         cliques: &CliqueSet,
-        reuse: FlowReuse,
         comp: &[VertexId],
         parent: lhcds_obs::SpanId,
     ) -> Option<(Ratio, Vec<bool>)> {
@@ -544,7 +563,7 @@ impl<'a> Driver<'a> {
         // ladder (every ρ-probe of the local densest decomposition).
         let (inst, map) = local_instance(cliques, comp);
         debug_assert_eq!(map, comp, "components are sorted and unique");
-        InstanceSolver::with_reuse(inst, reuse).densest_decomposition()
+        InstanceSolver::new(inst).densest_decomposition()
     }
 
     /// Speculative verification wave: the component about to be
@@ -572,7 +591,7 @@ impl<'a> Driver<'a> {
             }
         }
         let workers = self.threads.min(targets.len());
-        let (cliques, reuse) = (self.cliques, self.cfg.flow_reuse);
+        let cliques = self.cliques;
         let next = AtomicUsize::new(0);
         let targets_ref = &targets;
         let wave_parent = lhcds_obs::current();
@@ -589,12 +608,7 @@ impl<'a> Driver<'a> {
                             }
                             acc.push((
                                 i,
-                                Self::decompose_component(
-                                    cliques,
-                                    reuse,
-                                    &targets_ref[i],
-                                    wave_parent,
-                                ),
+                                Self::decompose_component(cliques, &targets_ref[i], wave_parent),
                             ));
                         }
                         acc
@@ -622,12 +636,7 @@ impl<'a> Driver<'a> {
                 self.stats.prefetched_decompositions += 1;
                 d
             }
-            None => Self::decompose_component(
-                self.cliques,
-                self.cfg.flow_reuse,
-                &comp,
-                lhcds_obs::current(),
-            ),
+            None => Self::decompose_component(self.cliques, &comp, lhcds_obs::current()),
         };
         let Some((rho_star, members)) = decomp else {
             // No h-clique inside this component.
@@ -695,12 +704,11 @@ impl<'a> Driver<'a> {
     ) {
         self.stats.verifications += 1;
         let verdict = if self.cfg.fast_verify {
-            // At the GGT tier all flow-deciding fast verifications share
-            // one memoized network — built lazily inside the flow tail,
-            // so shortcut-resolved candidates never build it;
+            // All flow-deciding fast verifications share one memoized
+            // network — built lazily inside the flow tail, so
+            // shortcut-resolved candidates never build it;
             // boundary-clique inflation keeps per-candidate networks.
-            let shared = (self.cfg.flow_reuse == FlowReuse::Ggt && !self.cfg.boundary_cliques)
-                .then_some(&mut self.fast_shared);
+            let shared = self.share_fast.then_some(&mut self.fast_shared);
             let (verdict, info) = verify_fast_with(
                 self.g,
                 self.cliques,
@@ -730,7 +738,7 @@ impl<'a> Driver<'a> {
         } else {
             self.stats.flow_verifications += 1;
             self.basic
-                .get_or_insert_with(|| BasicVerifier::new(self.cliques, self.cfg.flow_reuse))
+                .get_or_insert_with(|| BasicVerifier::new(self.cliques))
                 .verify(self.g, &m, rho)
         };
         match verdict {
@@ -994,30 +1002,30 @@ mod tests {
         }
     }
 
-    /// The reuse tier is invisible in the outputs, for both verifier
-    /// families. (The work-counter side of the contract — fewer
-    /// networks than ρ-probes — lives in tests/flow_reuse.rs, whose
-    /// process owns the global flow counters.)
+    /// The shared memoized fast-verifier network is invisible in the
+    /// outputs and the verify schedule. (The work-counter side of the
+    /// contract — fewer networks than ρ-probes — lives in the
+    /// integration tests, whose process owns the global flow counters.)
     #[test]
-    fn flow_reuse_is_invisible_in_outputs() {
+    fn shared_fast_verifier_matches_the_reference() {
         let mut b = GraphBuilder::new();
         complete_on(&mut b, &[0, 1, 2, 3, 4]);
         complete_on(&mut b, &[4, 5, 6, 7]);
         complete_on(&mut b, &[8, 9, 10]);
         b.add_edge(7, 8).add_edge(10, 11);
         let g = b.build();
-        for fast in [true, false] {
-            let mk = |flow_reuse: FlowReuse| IppvConfig {
-                fast_verify: fast,
-                flow_reuse,
-                ..IppvConfig::default()
-            };
-            let scratch = top_k_lhcds(&g, 3, 10, &mk(FlowReuse::Scratch));
-            for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-                let res = top_k_lhcds(&g, 3, 10, &mk(tier));
-                assert_eq!(res.subgraphs, scratch.subgraphs, "fast={fast} {tier}");
-            }
-        }
+        let cfg = IppvConfig::default();
+        let reference = top_k_reference(&g, 3, 10, &cfg);
+        assert_eq!(reference.stats.memo_hits, 0, "the oracle has no memo");
+        let res = top_k_lhcds(&g, 3, 10, &cfg);
+        assert_eq!(res.subgraphs, reference.subgraphs);
+        assert_eq!(
+            (res.stats.verifications, res.stats.flow_verifications),
+            (
+                reference.stats.verifications,
+                reference.stats.flow_verifications
+            )
+        );
     }
 
     #[test]

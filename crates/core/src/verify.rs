@@ -68,9 +68,8 @@
 use crate::bounds::Bounds;
 use crate::compact::{local_instance, BoundaryClique, InstanceSolver, LocalInstance};
 use lhcds_clique::CliqueSet;
-use lhcds_flow::parametric::ReusePolicy;
 use lhcds_flow::rational::lcm_up_to;
-use lhcds_flow::{FlowReuse, ParametricNetwork, Ratio};
+use lhcds_flow::{ParametricNetwork, Ratio};
 use lhcds_graph::traversal::components_within;
 use lhcds_graph::{CsrGraph, VertexId};
 use std::collections::HashMap;
@@ -154,14 +153,13 @@ pub struct BasicVerifier {
 }
 
 impl BasicVerifier {
-    /// Builds the support instance once at the given [`FlowReuse`]
-    /// tier ([`FlowReuse::Scratch`] restores the rebuild-per-call cost
-    /// model for the bench A/B; results identical across tiers).
-    pub fn new(cliques: &CliqueSet, reuse: FlowReuse) -> BasicVerifier {
+    /// Builds the support instance once; its network is built on the
+    /// first verification.
+    pub fn new(cliques: &CliqueSet) -> BasicVerifier {
         let (inst, map) = local_instance(cliques, &clique_support(cliques));
         debug_assert_eq!(inst.clique_count(), cliques.len());
         BasicVerifier {
-            solver: InstanceSolver::with_reuse(inst, reuse),
+            solver: InstanceSolver::new(inst),
             map,
         }
     }
@@ -209,7 +207,7 @@ pub fn verify_basic(
     s_sorted: &[VertexId],
     rho: Ratio,
 ) -> Verdict {
-    BasicVerifier::new(cliques, FlowReuse::default()).verify(g, s_sorted, rho)
+    BasicVerifier::new(cliques).verify(g, s_sorted, rho)
 }
 
 /// The fast verifier's flow step on **one** shared network, memoized.
@@ -234,10 +232,10 @@ pub fn verify_basic(
 /// constant. Min-cut source sides (the canonical maximal one included)
 /// therefore coincide with the reduced network's, bit-identically.
 ///
-/// The per-candidate re-tunes run under [`ReusePolicy::Retract`], so
-/// the flow survives from candidate to candidate and is never reset —
-/// the same GGT discipline the decomposition ladder uses. Each solved
-/// `(ρ, T)` is memoized with the connected components of its kept set,
+/// The per-candidate re-tunes retract the retained flow instead of
+/// resetting it ([`ParametricNetwork::solve`]), so the flow survives
+/// from candidate to candidate, as along a decomposition ladder. Each
+/// solved `(ρ, T)` is memoized with the connected components of its kept set,
 /// so a recurring pair costs a lookup (exactness: module docs). The
 /// driver owns one `FastVerifier` per run and never shares it across
 /// threads. Only valid for the default Figure 6 configuration (no
@@ -354,7 +352,7 @@ impl FastVerifier {
         for &inside in &in_t {
             caps.push(if inside { vt_cap } else { inf });
         }
-        self.net.solve_with(scale, &caps, ReusePolicy::Retract);
+        self.net.solve(scale, &caps);
         let side = self.net.max_cut_source_side();
         (0..n)
             .filter(|&l| in_t[l] && side[l + 1])
@@ -459,10 +457,8 @@ pub fn verify_fast_with(
             component_verdict(s_sorted, comps)
         }
         _ => {
-            // Reduced flow network over G[T], solved through the
-            // parametric layer (the boundary in-arcs stay individually
-            // tunable there, so the Figure 6/7 ablation can share one
-            // network per instance).
+            // Reduced flow network over G[T] (Figure 7 when boundary
+            // cliques are on): the per-candidate oracle.
             let (mut inst, map) = local_instance(cliques, &t);
             info.local_cliques = inst.clique_count();
             if cfg.boundary_cliques {
@@ -803,13 +799,13 @@ mod tests {
             (&[5, 6, 7, 8, 9], Ratio::from_int(2)),
             (&[0, 1, 2], Ratio::from_int(1)),
         ];
-        let mut shared = BasicVerifier::new(&cs, FlowReuse::default());
+        let mut shared = BasicVerifier::new(&cs);
         let verdicts: Vec<Verdict> = candidates
             .iter()
             .map(|&(s, rho)| shared.verify(&g, s, rho))
             .collect();
         // (the one-network-for-all-candidates counter contract lives in
-        // tests/flow_reuse.rs, whose process owns the global counters)
+        // the integration tests, whose process owns the global counters)
         for (&(s, rho), verdict) in candidates.iter().zip(&verdicts) {
             assert_eq!(*verdict, verify_basic(&g, &cs, s, rho), "{s:?} at {rho}");
         }
@@ -924,7 +920,7 @@ mod tests {
             assert!(oi.used_flow && oi.t_size == 12, "{oi:?}");
             assert_eq!(oracle, shared, "fast verifier at {rho}");
             assert_eq!(oi.t_size, si.t_size);
-            let mut basic = BasicVerifier::new(&cs, FlowReuse::default());
+            let mut basic = BasicVerifier::new(&cs);
             assert_eq!(basic.verify(&g, &s, rho), oracle, "basic verifier at {rho}");
         }
         assert_eq!(fv.expect("flow-deciding call builds the net").map.len(), 10);
@@ -1049,7 +1045,7 @@ mod tests {
             // candidate: the densest decomposition of the whole graph
             let all: Vec<VertexId> = g.vertices().collect();
             let (inst, map) = local_instance(&cs, &all);
-            let Some((rho, members)) = crate::compact::densest_decomposition(&inst) else {
+            let Some((rho, members)) = InstanceSolver::new(&inst).densest_decomposition() else {
                 continue;
             };
             let kept: Vec<VertexId> = map

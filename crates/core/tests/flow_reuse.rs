@@ -1,21 +1,22 @@
-//! Flow-network reuse must be *invisible*: every output of the
-//! verification stack — full decompositions, compact numbers,
-//! per-threshold cut sides — is bit-identical across all three
-//! `flow_reuse` tiers: `scratch` (one network per probe, the
-//! historical cost model), `warm` (networks retained and warm-started
-//! across monotone ρ-probes), and `ggt` (one never-reset flow with
-//! retraction on decreases and principal-partition recursion, the
-//! default). These suites pin that equivalence on fixtures and random
-//! graphs at h ∈ {2, 3, 4}, alongside the work-counter contracts that
-//! make the reuse tiers worth having.
+//! Flow-network reuse must be *invisible*: the production pipeline —
+//! one retained network per local decomposition, one memoized
+//! clique-support network shared by every flow-deciding fast
+//! verification, one support network per basic-verifier run — must
+//! answer exactly like the per-candidate reference
+//! (`top_k_reference`: a fresh reduced network per verification), and
+//! a retained `InstanceSolver` exactly like a fresh solver per probe.
+//! These suites pin that equivalence on fixtures and random graphs at
+//! h ∈ {2, 3, 4}, alongside the work-counter contracts that make the
+//! reuse worth having: fewer networks than max-flows, and no retained
+//! flow ever reset.
 
 use std::sync::Mutex;
 
+use lhcds_clique::Parallelism;
 use lhcds_core::compact::{local_instance, InstanceSolver};
-use lhcds_core::density::dense_decomposition_opts;
-use lhcds_core::pipeline::{top_k_lhcds, IppvConfig};
+use lhcds_core::pipeline::{top_k_lhcds, top_k_reference, IppvConfig};
 use lhcds_core::verify::{verify_basic, BasicVerifier, Verdict};
-use lhcds_core::FlowReuse;
+use lhcds_core::{flow_stats, Ratio};
 use lhcds_graph::{CsrGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
@@ -43,60 +44,89 @@ fn graph_from_bits(n: usize, bits: &[bool]) -> CsrGraph {
     b.build()
 }
 
-fn cfg(fast_verify: bool, flow_reuse: FlowReuse) -> IppvConfig {
+fn cfg(fast_verify: bool, parallelism: Parallelism) -> IppvConfig {
     IppvConfig {
         fast_verify,
-        flow_reuse,
+        parallelism,
         ..IppvConfig::default()
     }
 }
 
-/// Full-decomposition + ladder identity for one (graph, h), under both
-/// verifier families and all three tiers, plus the network-count and
-/// counter-accounting contracts.
+/// Production against the reference on one (graph, h), under both
+/// verifier families, plus the counter-accounting contracts.
 fn check_reuse_invisible(g: &CsrGraph, h: usize) {
+    let before = flow_stats();
+    let reference = top_k_reference(g, h, usize::MAX, &cfg(true, Parallelism::serial()));
+    let rd = flow_stats().since(&before);
     for fast in [true, false] {
-        let before = lhcds_flow::flow_stats();
-        let scratch = top_k_lhcds(g, h, usize::MAX, &cfg(fast, FlowReuse::Scratch));
-        let sd = lhcds_flow::flow_stats().since(&before);
+        let before = flow_stats();
+        let res = top_k_lhcds(g, h, usize::MAX, &cfg(fast, Parallelism::serial()));
+        let d = flow_stats().since(&before);
         assert_eq!(
-            sd.networks_built, sd.max_flow_invocations,
-            "h={h} fast={fast}: scratch rebuilds one network per solve"
+            res.subgraphs, reference.subgraphs,
+            "h={h} fast={fast}: output diverged from the reference"
         );
-        for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-            let before = lhcds_flow::flow_stats();
-            let reused = top_k_lhcds(g, h, usize::MAX, &cfg(fast, tier));
-            let rd = lhcds_flow::flow_stats().since(&before);
-            assert_eq!(
-                reused.subgraphs, scratch.subgraphs,
-                "h={h} fast={fast} tier={tier}: decomposition diverged"
-            );
-            assert_eq!(
-                rd.max_flow_invocations,
-                rd.warm_solves + rd.retract_solves + rd.cold_solves(),
-                "h={h} fast={fast} tier={tier}: every max-flow goes through the parametric layer"
-            );
+        assert_eq!(
+            d.max_flow_invocations,
+            d.warm_solves + d.retract_solves + d.cold_solves(),
+            "h={h} fast={fast}: every max-flow goes through the parametric layer"
+        );
+        assert_eq!(
+            d.infeasible_reset, 0,
+            "h={h} fast={fast}: a flow was reset — {d:?}"
+        );
+        if fast {
             assert!(
-                rd.networks_built <= sd.networks_built,
-                "h={h} fast={fast} tier={tier}: reuse built more networks than scratch — {rd:?} vs {sd:?}"
+                d.networks_built <= rd.networks_built,
+                "h={h}: the shared network built more than the reference — {d:?} vs {rd:?}"
             );
-            if tier == FlowReuse::Ggt {
-                assert_eq!(
-                    rd.infeasible_reset, 0,
-                    "h={h} fast={fast}: ggt never resets a flow — {rd:?}"
-                );
-            }
         }
     }
-    let cliques = lhcds_clique::CliqueSet::enumerate(g, h);
-    let a = dense_decomposition_opts(g, &cliques, FlowReuse::Scratch);
-    for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-        let b = dense_decomposition_opts(g, &cliques, tier);
-        assert_eq!(
-            a.levels, b.levels,
-            "h={h} tier={tier}: ladder levels diverged"
-        );
-        assert_eq!(a.phi, b.phi, "h={h} tier={tier}: compact numbers diverged");
+}
+
+/// The production pipeline on a sparse planted-community graph (h = 3)
+/// and a dense random graph (h = 4): its output equals the
+/// per-candidate reference, it builds strictly fewer networks than it
+/// runs max-flows, and it never resets a retained flow — serially and
+/// with the speculative wave.
+#[test]
+fn production_pipeline_reuses_networks_and_matches_the_reference() {
+    let _quiet = quiet_counters();
+    let workloads = [
+        (
+            "planted_communities_1200",
+            lhcds_data::gen::planted_communities(
+                1200,
+                3,
+                &[(20, 0.9), (16, 0.85), (12, 0.9), (10, 0.95)],
+                0xF10,
+            ),
+            3,
+        ),
+        ("gnp_200_p20", lhcds_data::gen::gnp(200, 0.2, 0xF10), 4),
+    ];
+    for (name, g, h) in &workloads {
+        let reference = top_k_reference(g, *h, usize::MAX, &cfg(true, Parallelism::serial()));
+        assert!(!reference.subgraphs.is_empty(), "{name}");
+        for threads in [1usize, 2] {
+            let before = flow_stats();
+            let res = top_k_lhcds(g, *h, usize::MAX, &cfg(true, Parallelism::threads(threads)));
+            let d = flow_stats().since(&before);
+            assert_eq!(
+                res.subgraphs, reference.subgraphs,
+                "{name} threads={threads}: output diverged from the reference"
+            );
+            assert!(
+                d.networks_built < d.max_flow_invocations,
+                "{name} threads={threads}: {} networks for {} max-flows",
+                d.networks_built,
+                d.max_flow_invocations
+            );
+            assert_eq!(
+                d.infeasible_reset, 0,
+                "{name} threads={threads}: a retained flow was reset — {d:?}"
+            );
+        }
     }
 }
 
@@ -118,69 +148,35 @@ fn ladders_and_basic_verifier_build_one_network_each() {
     let all: Vec<VertexId> = g.vertices().collect();
     let (inst, _) = local_instance(&cliques, &all);
 
-    let before = lhcds_flow::flow_stats();
-    let warm = InstanceSolver::with_reuse(inst.clone(), FlowReuse::Warm).densest_decomposition();
-    let wd = lhcds_flow::flow_stats().since(&before);
-    let before = lhcds_flow::flow_stats();
-    let ggt = InstanceSolver::new(inst.clone()).densest_decomposition();
-    let gd = lhcds_flow::flow_stats().since(&before);
-    let before = lhcds_flow::flow_stats();
-    let scratch =
-        InstanceSolver::with_reuse(inst.clone(), FlowReuse::Scratch).densest_decomposition();
-    let sd = lhcds_flow::flow_stats().since(&before);
-    assert_eq!(warm, scratch);
-    assert_eq!(ggt, scratch);
-    assert_eq!(
-        wd.networks_built, 1,
-        "one network for the whole warm ladder"
-    );
-    assert!(wd.max_flow_invocations > 1);
-    assert!(wd.warm_solves >= 1, "{wd:?}");
-    assert_eq!(gd.networks_built, 1, "one network for the whole ggt walk");
-    assert_eq!(gd.infeasible_reset, 0, "ggt never resets a flow: {gd:?}");
-    assert_eq!(sd.networks_built, sd.max_flow_invocations);
-    assert_eq!(
-        wd.max_flow_invocations, sd.max_flow_invocations,
-        "reuse changes construction work, never the probe schedule"
-    );
-
-    // the principal-partition recursion: still one network, and the
-    // GGT-specific telemetry moves
-    let before = lhcds_flow::flow_stats();
-    let ladder = InstanceSolver::new(inst.clone()).ggt_ladder();
-    let ld = lhcds_flow::flow_stats().since(&before);
-    assert!(!ladder.is_empty());
-    assert_eq!(ld.networks_built, 1, "one network for the whole recursion");
-    assert!(ld.ggt_recursions >= 1, "{ld:?}");
-    assert_eq!(ld.infeasible_reset, 0, "{ld:?}");
+    let before = flow_stats();
+    let ladder = InstanceSolver::new(&inst).densest_decomposition();
+    let d = flow_stats().since(&before);
+    let k5 = vec![true, true, true, true, true, false, false];
+    assert_eq!(ladder, Some((Ratio::from_int(2), k5)));
+    assert_eq!(d.networks_built, 1, "one network for the whole ladder");
+    assert!(d.max_flow_invocations > 1);
+    assert!(d.warm_solves >= 1, "{d:?}");
+    assert_eq!(d.infeasible_reset, 0, "a retained flow was reset: {d:?}");
 
     // one BasicVerifier across candidates at several ρ: one network
     // (every candidate holds a triangle, the verifier's precondition)
-    let candidates: [(&[VertexId], lhcds_core::Ratio); 3] = [
-        (&[0, 1, 2, 3, 4], lhcds_core::Ratio::from_int(2)),
-        (&[0, 1, 2, 3, 4], lhcds_core::Ratio::new(3, 2)),
-        (&[0, 1, 2], lhcds_core::Ratio::from_int(1)),
+    let candidates: [(&[VertexId], Ratio); 3] = [
+        (&[0, 1, 2, 3, 4], Ratio::from_int(2)),
+        (&[0, 1, 2, 3, 4], Ratio::new(3, 2)),
+        (&[0, 1, 2], Ratio::from_int(1)),
     ];
-    for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-        let before = lhcds_flow::flow_stats();
-        let mut shared = BasicVerifier::new(&cliques, tier);
-        let verdicts: Vec<Verdict> = candidates
-            .iter()
-            .map(|&(s, rho)| shared.verify(&g, s, rho))
-            .collect();
-        let delta = lhcds_flow::flow_stats().since(&before);
-        assert_eq!(
-            delta.networks_built, 1,
-            "tier={tier}: one network for all candidates"
-        );
-        assert_eq!(delta.max_flow_invocations, candidates.len() as u64);
-        for (&(s, rho), verdict) in candidates.iter().zip(&verdicts) {
-            assert_eq!(
-                *verdict,
-                verify_basic(&g, &cliques, s, rho),
-                "tier={tier} {s:?}@{rho}"
-            );
-        }
+    let before = flow_stats();
+    let mut shared = BasicVerifier::new(&cliques);
+    let verdicts: Vec<Verdict> = candidates
+        .iter()
+        .map(|&(s, rho)| shared.verify(&g, s, rho))
+        .collect();
+    let delta = flow_stats().since(&before);
+    assert_eq!(delta.networks_built, 1, "one network for all candidates");
+    assert_eq!(delta.max_flow_invocations, candidates.len() as u64);
+    for (&(s, rho), verdict) in candidates.iter().zip(&verdicts) {
+        // the one-shot call builds a fresh verifier: the oracle
+        assert_eq!(*verdict, verify_basic(&g, &cliques, s, rho), "{s:?}@{rho}");
     }
 }
 
@@ -208,10 +204,10 @@ fn two_k5_fixtures_are_reuse_invariant() {
     }
 }
 
-/// Per-threshold probes on a shared solver equal fresh solvers at every
-/// rho of a mixed (non-monotone) schedule — the raw cut-side identity
-/// underlying all higher-level equivalences. Both reuse tiers share one
-/// solver: `warm` resets on the decreases, `ggt` retracts through them.
+/// Per-threshold probes on one retained solver equal fresh solvers at
+/// every ρ of a mixed (non-monotone) schedule — the raw cut-side
+/// identity underlying all higher-level equivalences. The decreases
+/// retract the retained flow instead of resetting it.
 #[test]
 fn mixed_threshold_schedule_matches_fresh_solvers() {
     let _quiet = quiet_counters();
@@ -229,36 +225,36 @@ fn mixed_threshold_schedule_matches_fresh_solvers() {
     let all: Vec<VertexId> = g.vertices().collect();
     let (inst, _) = local_instance(&cliques, &all);
     let schedule = [
-        lhcds_core::Ratio::new(1, 3),
-        lhcds_core::Ratio::from_int(2),
-        lhcds_core::Ratio::new(13, 6), // up
-        lhcds_core::Ratio::new(1, 2),  // down (reset under warm, retract under ggt)
-        lhcds_core::Ratio::new(7, 4),  // up again
-        lhcds_core::Ratio::zero(),
+        Ratio::new(1, 3),
+        Ratio::from_int(2),
+        Ratio::new(13, 6), // up
+        Ratio::new(1, 2),  // down: retract
+        Ratio::new(7, 4),  // up again
+        Ratio::zero(),
     ];
-    for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-        let mut shared = InstanceSolver::with_reuse(inst.clone(), tier);
-        for rho in schedule {
-            let mut fresh = InstanceSolver::new(inst.clone());
-            assert_eq!(
-                shared.max_excess_set(rho),
-                fresh.max_excess_set(rho),
-                "tier={tier}: max_excess_set at {rho}"
-            );
-            let mut fresh = InstanceSolver::new(inst.clone());
-            assert_eq!(
-                shared.derive_compact(rho),
-                fresh.derive_compact(rho),
-                "tier={tier}: derive_compact at {rho}"
-            );
-        }
+    let mut shared = InstanceSolver::new(&inst);
+    let before = flow_stats();
+    for rho in schedule {
+        assert_eq!(
+            shared.max_excess_set(rho),
+            InstanceSolver::new(&inst).max_excess_set(rho),
+            "max_excess_set at {rho}"
+        );
+        assert_eq!(
+            shared.derive_compact(rho),
+            InstanceSolver::new(&inst).derive_compact(rho),
+            "derive_compact at {rho}"
+        );
     }
+    let d = flow_stats().since(&before);
+    assert!(d.retract_solves >= 1, "the schedule decreases: {d:?}");
+    assert_eq!(d.infeasible_reset, 0, "{d:?}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random graphs, h = 3: pipeline + ladder reuse-invariance.
+    /// Random graphs, h = 3: production against the reference.
     #[test]
     fn reuse_invisible_h3(bits in prop::collection::vec(prop::bool::weighted(0.45), 45)) {
         let _quiet = quiet_counters();
@@ -295,11 +291,11 @@ proptest! {
         }
         let all: Vec<VertexId> = g.vertices().collect();
         let (inst, _) = local_instance(&cliques, &all);
-        let mut shared = InstanceSolver::new(inst.clone());
+        let mut shared = InstanceSolver::new(&inst);
         let mut forced = vec![false; inst.n];
         loop {
             let from_shared = shared.next_density_level(&forced);
-            let from_fresh = InstanceSolver::new(inst.clone()).next_density_level(&forced);
+            let from_fresh = InstanceSolver::new(&inst).next_density_level(&forced);
             prop_assert_eq!(&from_shared, &from_fresh);
             match from_shared {
                 None => break,

@@ -1,27 +1,23 @@
 //! Serial-equivalence harness for the post-enumeration parallel layers
-//! — the PR 2 clique-level harness (`lhcds-clique/tests/parallel.rs`)
-//! extended to everything `--threads` now reaches: the speculative
-//! candidate-verification wave, the threaded CP round scaling, and the
-//! parallel GGT principal-partition recursion.
+//! — the clique-level harness (`lhcds-clique/tests/parallel.rs`)
+//! extended to everything `--threads` reaches: the speculative
+//! candidate-verification wave and the threaded CP round scaling.
 //!
 //! The contract is byte-identity, not approximate agreement: at 1, 2,
-//! 4, and 8 threads, across all three flow-reuse tiers, the full
-//! pipeline output (`subgraphs`: members, exact densities, clique
-//! counts) must equal the serial run's. Scheduling may change wall time
-//! and the speculative work counters — never a result.
+//! 4, and 8 threads the full pipeline output (`subgraphs`: members,
+//! exact densities, clique counts) must equal the serial run of the
+//! per-candidate reference (`top_k_reference`). Scheduling may change
+//! wall time and the speculative work counters — never a result.
 
 use lhcds_clique::Parallelism;
-use lhcds_core::pipeline::{top_k_lhcds, IppvConfig};
-use lhcds_core::FlowReuse;
+use lhcds_core::pipeline::{top_k_lhcds, top_k_reference, IppvConfig};
 use lhcds_graph::{CsrGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const TIERS: [FlowReuse; 3] = [FlowReuse::Scratch, FlowReuse::Warm, FlowReuse::Ggt];
 
-fn cfg(flow_reuse: FlowReuse, parallelism: Parallelism) -> IppvConfig {
+fn cfg(parallelism: Parallelism) -> IppvConfig {
     IppvConfig {
-        flow_reuse,
         parallelism,
         ..IppvConfig::default()
     }
@@ -29,15 +25,13 @@ fn cfg(flow_reuse: FlowReuse, parallelism: Parallelism) -> IppvConfig {
 
 /// Asserts the full-output equivalence contract on one graph.
 fn assert_equivalent(g: &CsrGraph, h: usize) {
-    for reuse in TIERS {
-        let serial = top_k_lhcds(g, h, usize::MAX, &cfg(reuse, Parallelism::serial()));
-        for t in THREAD_COUNTS {
-            let par = top_k_lhcds(g, h, usize::MAX, &cfg(reuse, Parallelism::threads(t)));
-            assert_eq!(
-                par.subgraphs, serial.subgraphs,
-                "reuse={reuse:?} threads={t} h={h}: parallel output diverged"
-            );
-        }
+    let serial = top_k_reference(g, h, usize::MAX, &cfg(Parallelism::serial()));
+    for t in THREAD_COUNTS {
+        let par = top_k_lhcds(g, h, usize::MAX, &cfg(Parallelism::threads(t)));
+        assert_eq!(
+            par.subgraphs, serial.subgraphs,
+            "threads={t} h={h}: parallel output diverged from the serial reference"
+        );
     }
 }
 
@@ -57,7 +51,7 @@ fn complete_on(b: &mut GraphBuilder, vs: &[u32]) {
 
 /// The paper's running example, at the paper's h and off-h settings.
 #[test]
-fn figure2_all_tiers_and_thread_counts() {
+fn figure2_all_thread_counts() {
     let g = figure2();
     for h in [2usize, 3, 4] {
         assert_equivalent(&g, h);
@@ -82,23 +76,13 @@ fn multi_component_graphs() {
 
     // the wave must have fired at least once on this shape: >1
     // component is pending whenever the first one is being verified
-    let res = top_k_lhcds(
-        &g,
-        3,
-        usize::MAX,
-        &cfg(FlowReuse::Ggt, Parallelism::threads(4)),
-    );
+    let res = top_k_lhcds(&g, 3, usize::MAX, &cfg(Parallelism::threads(4)));
     assert!(
         res.stats.prefetched_decompositions >= 1,
         "speculative verification never engaged: {:?}",
         res.stats.prefetched_decompositions
     );
-    let serial = top_k_lhcds(
-        &g,
-        3,
-        usize::MAX,
-        &cfg(FlowReuse::Ggt, Parallelism::serial()),
-    );
+    let serial = top_k_lhcds(&g, 3, usize::MAX, &cfg(Parallelism::serial()));
     assert_eq!(
         serial.stats.prefetched_decompositions, 0,
         "serial runs must never speculate"
@@ -138,7 +122,7 @@ fn graph_from_bits(n: usize, bits: &[bool]) -> CsrGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random graphs: full equivalence at every tier and thread count.
+    /// Random graphs: full equivalence at every thread count.
     #[test]
     fn random_graphs_are_equivalent(bits in prop::collection::vec(prop::bool::weighted(0.4), 66)) {
         let g = graph_from_bits(12, &bits);
@@ -161,7 +145,7 @@ proptest! {
     #[test]
     fn parallel_runs_are_reproducible(bits in prop::collection::vec(prop::bool::weighted(0.45), 55)) {
         let g = graph_from_bits(11, &bits);
-        let c = cfg(FlowReuse::Ggt, Parallelism::threads(4));
+        let c = cfg(Parallelism::threads(4));
         let a = top_k_lhcds(&g, 3, usize::MAX, &c);
         let b = top_k_lhcds(&g, 3, usize::MAX, &c);
         prop_assert_eq!(a.subgraphs, b.subgraphs);

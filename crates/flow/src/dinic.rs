@@ -27,12 +27,11 @@ struct Arc {
 /// Max-flow solver. Build the network with [`Dinic::add_edge`], then call
 /// [`Dinic::max_flow`]; cut queries are valid afterwards.
 ///
-/// The solver is *restartable*: capacities can be re-tuned between
-/// solves with [`Dinic::set_capacity`], the accumulated flow can be
-/// discarded with [`Dinic::reset_flow`], and [`Dinic::max_flow`] always
-/// continues from whatever feasible flow the network currently holds.
-/// [`crate::ParametricNetwork`] builds the monotone warm-start policy on
-/// top of these primitives. BFS/DFS scratch state (`level`, `iter`, the
+/// The solver is *restartable*: [`Dinic::max_flow`] always continues
+/// from whatever feasible flow the network currently holds, and
+/// [`crate::ParametricNetwork`] re-tunes capacities and retained flow
+/// between solves (warm starts, retraction, cold restarts) through the
+/// crate-internal `set_state` / `retract_arc` primitives. BFS/DFS scratch state (`level`, `iter`, the
 /// BFS queue) lives in the struct and is reused across solves — a
 /// network that is solved at many thresholds allocates its scratch
 /// once.
@@ -102,52 +101,6 @@ impl Dinic {
         self.arcs[id ^ 1].cap
     }
 
-    /// Total capacity of forward arc `id` (flow + remaining residual).
-    pub fn total_capacity(&self, id: ArcId) -> i128 {
-        debug_assert!(id.is_multiple_of(2), "capacity is tracked on forward arcs");
-        self.arcs[id].cap + self.arcs[id ^ 1].cap
-    }
-
-    /// Re-tunes the *total* capacity of forward arc `id`, preserving the
-    /// flow it currently carries. Returns the amount of flow that had to
-    /// be cancelled: 0 when `cap` still covers the current flow;
-    /// otherwise the excess is *saturatingly cancelled* — the arc's flow
-    /// is clamped down to `cap`, which leaves flow conservation violated
-    /// at its endpoints until the caller runs [`Dinic::reset_flow`].
-    /// A warm restart is therefore only sound when every `set_capacity`
-    /// in the batch returned 0 (the monotone case);
-    /// [`crate::ParametricNetwork`] checks exactly this before deciding
-    /// warm vs cold.
-    ///
-    /// # Panics
-    /// Panics on negative capacity or a non-forward arc id.
-    pub fn set_capacity(&mut self, id: ArcId, cap: i128) -> i128 {
-        assert!(cap >= 0, "negative capacity");
-        assert!(
-            id.is_multiple_of(2) && id < self.arcs.len(),
-            "not a forward arc id"
-        );
-        let flow = self.arcs[id ^ 1].cap;
-        if flow <= cap {
-            self.arcs[id].cap = cap - flow;
-            0
-        } else {
-            self.arcs[id].cap = 0;
-            self.arcs[id ^ 1].cap = cap;
-            flow - cap
-        }
-    }
-
-    /// Discards all flow, restoring every arc to its current total
-    /// capacity at zero flow. After this the network is exactly what a
-    /// freshly built copy with the same capacities would be.
-    pub fn reset_flow(&mut self) {
-        for pair in self.arcs.chunks_exact_mut(2) {
-            pair[0].cap += pair[1].cap;
-            pair[1].cap = 0;
-        }
-    }
-
     /// Sets forward arc `id` to total capacity `cap` carrying exactly
     /// `flow` (`0 ≤ flow ≤ cap`). Used by the parametric warm start to
     /// install a rescaled retained flow; callers must keep the overall
@@ -183,9 +136,9 @@ impl Dinic {
     /// flow's own support paths — backwards from the arc's tail towards
     /// `s`, forwards from its head towards `t`, or around flow cycles —
     /// so [`Dinic::max_flow`] can continue warm from the result. This is
-    /// the GGT never-reset primitive: unlike [`Dinic::set_capacity`],
-    /// conservation is restored here, and the work is proportional to
-    /// the flow cancelled rather than the network size.
+    /// the never-reset primitive of Gallo–Grigoriadis–Tarjan: the work
+    /// is proportional to the flow cancelled rather than the network
+    /// size.
     pub(crate) fn retract_arc(&mut self, id: ArcId, cap: i128, s: u32, t: u32) {
         debug_assert!(id.is_multiple_of(2) && cap >= 0);
         let flow = self.current_flow(id);
@@ -540,87 +493,6 @@ mod tests {
         let e = d.add_edge(0, 1, 5);
         let _ = d.max_flow(0, 1);
         assert_eq!(d.residual(e), 0);
-    }
-
-    /// Satellite contract: repeated `max_flow` + `reset_flow` rounds on
-    /// one network agree with fresh networks, across capacity re-tunes
-    /// and for both min-cut sides.
-    #[test]
-    fn reset_flow_rounds_agree_with_fresh_networks() {
-        // s=0 → {1,2} → t=3 diamond with a cross arc; re-tune the two
-        // sink arcs through several schedules.
-        let arcs = [(0u32, 1u32), (0, 2), (1, 2), (1, 3), (2, 3)];
-        let schedules: [[i128; 5]; 4] = [
-            [10, 4, 2, 8, 10],
-            [1, 1, 1, 1, 1],
-            [5, 0, 3, 7, 2],
-            [10, 4, 2, 8, 10], // back to the first: must reproduce it
-        ];
-        let mut reused = Dinic::new(4);
-        let ids: Vec<ArcId> = arcs
-            .iter()
-            .map(|&(u, v)| reused.add_edge(u, v, 0))
-            .collect();
-        for caps in schedules {
-            reused.reset_flow();
-            for (&id, &c) in ids.iter().zip(&caps) {
-                assert_eq!(reused.set_capacity(id, c), 0, "no flow after reset");
-            }
-            let mut fresh = Dinic::new(4);
-            for (&(u, v), &c) in arcs.iter().zip(&caps) {
-                fresh.add_edge(u, v, c);
-            }
-            assert_eq!(reused.max_flow(0, 3), fresh.max_flow(0, 3), "{caps:?}");
-            assert_eq!(
-                reused.min_cut_source_side(0),
-                fresh.min_cut_source_side(0),
-                "{caps:?}"
-            );
-            assert_eq!(
-                reused.max_cut_source_side(3),
-                fresh.max_cut_source_side(3),
-                "{caps:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn set_capacity_preserves_flow_and_reports_excess() {
-        let mut d = Dinic::new(2);
-        let e = d.add_edge(0, 1, 5);
-        assert_eq!(d.max_flow(0, 1), 5);
-        assert_eq!(d.current_flow(e), 5);
-        // raising capacity keeps the flow and exposes new residual
-        assert_eq!(d.set_capacity(e, 8), 0);
-        assert_eq!(d.current_flow(e), 5);
-        assert_eq!(d.residual(e), 3);
-        assert_eq!(d.total_capacity(e), 8);
-        // a follow-up solve only pushes the difference
-        assert_eq!(d.max_flow(0, 1), 3);
-        // lowering below the carried flow saturates and reports excess
-        assert_eq!(d.set_capacity(e, 2), 6);
-        assert_eq!(d.current_flow(e), 2);
-        assert_eq!(d.residual(e), 0);
-        // reset restores a clean zero-flow network at the new capacity
-        d.reset_flow();
-        assert_eq!(d.current_flow(e), 0);
-        assert_eq!(d.total_capacity(e), 2);
-        assert_eq!(d.max_flow(0, 1), 2);
-    }
-
-    #[test]
-    fn warm_continuation_reaches_the_same_maximum() {
-        // solve at small sink capacity, enlarge, re-solve: total flow
-        // equals a single fresh solve at the final capacities
-        let mut d = Dinic::new(3);
-        d.add_edge(0, 1, 10);
-        let vt = d.add_edge(1, 2, 4);
-        let first = d.max_flow(0, 2);
-        assert_eq!(first, 4);
-        assert_eq!(d.set_capacity(vt, 9), 0);
-        let added = d.max_flow(0, 2);
-        assert_eq!(first + added, 9);
-        assert_eq!(d.min_cut_source_side(0), vec![true, true, false]);
     }
 
     #[test]

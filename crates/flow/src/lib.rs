@@ -22,18 +22,12 @@
 //! ladder of thresholds (only the ρ-dependent capacities change),
 //! [`parametric::ParametricNetwork`] retains the built network across
 //! solves: monotone capacity changes warm-start from the previous
-//! residual flow, and under [`parametric::ReusePolicy::Retract`] even
-//! capacity *decreases* keep it, cancelling only the infeasible excess
-//! along the flow's own paths (`Dinic::retract_arc`) — the
-//! Gallo–Grigoriadis–Tarjan never-reset discipline. On top of that,
-//! [`ggt::GgtSolver`] recovers the entire principal partition (the
-//! LhCDS dense-decomposition ladder) by divide-and-conquer on one
-//! shared network, and [`ggt::FlowReuse`] names the three reuse tiers
-//! (`scratch | warm | ggt`) the verification stack exposes for A/B.
+//! residual flow, and capacity *decreases* keep it too, cancelling only
+//! the infeasible excess along the flow's own paths
+//! (`Dinic::retract_arc`) instead of resetting it.
 //! [`stats::flow_stats`] exposes the process-wide work counters
-//! (networks/arcs built, flow invocations, warm/retract/cold solves,
-//! GGT recursion telemetry) that pin the reuse contracts in tests and
-//! benchmarks.
+//! (networks/arcs built, flow invocations, warm/retract/cold solves)
+//! that pin the reuse contracts in tests and benchmarks.
 //!
 //! In the workspace DAG this crate sits directly above `lhcds-graph`
 //! (as `lhcds-clique`'s sibling) and below `lhcds-core`, which builds
@@ -62,13 +56,11 @@
 #![warn(missing_docs)]
 
 pub mod dinic;
-pub mod ggt;
 pub mod parametric;
 pub mod rational;
 pub mod stats;
 
 pub use dinic::Dinic;
-pub use ggt::{FlowReuse, GgtSolver};
-pub use parametric::{ParametricNetwork, ReusePolicy, SolveMode};
+pub use parametric::{ParametricNetwork, SolveMode};
 pub use rational::Ratio;
 pub use stats::{flow_stats, max_flow_invocations, FlowStats};

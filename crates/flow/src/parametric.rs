@@ -27,7 +27,7 @@
 //! answers — which is what makes the reuse path bit-identical to the
 //! rebuild-from-scratch path.
 //!
-//! ## Warm starts and retraction (GGT)
+//! ## Warm starts and retraction
 //!
 //! [`ParametricNetwork::solve`] keeps the previous residual flow when it
 //! remains feasible under the new capacities: the retained flow at
@@ -39,19 +39,15 @@
 //! grows, sink capacities only grow, and each probe re-solves in time
 //! proportional to the *increment*.
 //!
-//! Capacity *decreases* have two treatments, chosen by [`ReusePolicy`]:
-//!
-//! * [`ReusePolicy::Reset`] (the PR 5 behavior, and what plain
-//!   [`ParametricNetwork::solve`] does) discards the flow via
-//!   [`Dinic::reset_flow`] — zero construction work, but the next
-//!   max-flow starts from nothing;
-//! * [`ReusePolicy::Retract`] — the true GGT never-reset path — keeps
-//!   the rescaled flow and *cancels only the infeasible excess* of each
-//!   shrunk arc along the flow's own support paths
-//!   (`Dinic::retract_arc`), so the follow-up max-flow starts from a
-//!   feasible flow that is near-maximal whenever the schedule is
-//!   near-monotone. Work is proportional to the flow cancelled, not the
-//!   network size.
+//! Capacity *decreases* keep the rescaled flow as well and *cancel only
+//! the infeasible excess* of each shrunk arc along the flow's own
+//! support paths (`Dinic::retract_arc`), so the follow-up max-flow
+//! starts from a feasible flow that is near-maximal whenever the
+//! schedule is near-monotone. Work is proportional to the flow
+//! cancelled, not the network size. The flow is discarded only when
+//! the new scale is not a multiple of the retained one (or the rescale
+//! would overflow): then the solve restarts from zero on the built
+//! network.
 //!
 //! [`crate::flow_stats`] counts all outcomes, splitting cold solves
 //! into the unavoidable first build per network vs genuine resets.
@@ -78,27 +74,14 @@ pub enum SolveMode {
     /// The previous residual flow was rescaled and kept; max-flow only
     /// pushed the increment.
     Warm,
-    /// A capacity decrease made the rescaled flow infeasible, but under
-    /// [`ReusePolicy::Retract`] only the excess was cancelled along its
-    /// own flow paths; max-flow continued from the retracted flow.
+    /// A capacity decrease made the rescaled flow infeasible; only the
+    /// excess was cancelled along its own flow paths, and max-flow
+    /// continued from the retracted flow.
     Retract,
-    /// The previous flow was discarded (first solve, incompatible
-    /// scale, or — under [`ReusePolicy::Reset`] — a capacity decrease
-    /// below carried flow) and max-flow ran from zero, but on the
-    /// already-built network.
+    /// The previous flow was discarded (first solve, or a scale that is
+    /// not a multiple of the retained one) and max-flow ran from zero,
+    /// but on the already-built network.
     Cold,
-}
-
-/// What [`ParametricNetwork::solve_with`] may do when a capacity
-/// decrease makes the retained flow infeasible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReusePolicy {
-    /// Discard the retained flow and re-solve from zero (PR 5 warm-only
-    /// behavior; what [`ParametricNetwork::solve`] uses).
-    Reset,
-    /// Cancel only the infeasible excess along the flow's own support
-    /// paths and continue — the GGT never-reset discipline.
-    Retract,
 }
 
 /// A flow network whose arcs are built once and re-solved at many
@@ -200,21 +183,9 @@ impl ParametricNetwork {
     /// Re-tunes every capacity to scale `scale` (a positive multiple of
     /// the base scale; use [`ParametricNetwork::scale_for`]), installs
     /// `param_caps` on the parametric arcs, warm-starts from the
-    /// retained flow when it remains feasible, and runs max-flow.
-    /// Capacity decreases discard the flow ([`ReusePolicy::Reset`]);
-    /// use [`ParametricNetwork::solve_with`] for the GGT retract path.
+    /// retained flow when it remains feasible — retracting it along its
+    /// own paths where a capacity decreased — and runs max-flow.
     pub fn solve(&mut self, scale: i128, param_caps: &[i128]) -> SolveMode {
-        self.solve_with(scale, param_caps, ReusePolicy::Reset)
-    }
-
-    /// [`ParametricNetwork::solve`] with an explicit capacity-decrease
-    /// policy.
-    pub fn solve_with(
-        &mut self,
-        scale: i128,
-        param_caps: &[i128],
-        policy: ReusePolicy,
-    ) -> SolveMode {
         assert!(scale > 0 && scale % self.base_scale == 0, "invalid scale");
         assert_eq!(param_caps.len(), self.param_arcs.len(), "capacity slice");
         let factor = scale / self.base_scale;
@@ -259,7 +230,7 @@ impl ParametricNetwork {
                 stats::WARM_SOLVES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 SolveMode::Warm
             }
-            Some(arcs) if policy == ReusePolicy::Retract => {
+            Some(arcs) => {
                 // Keep the rescaled flow under temporarily inflated
                 // capacities (still a conserving flow), then retract
                 // each oversubscribed arc: the retraction cancels its
@@ -375,18 +346,20 @@ mod tests {
         }
     }
 
+    /// A scale that is not a multiple of the retained one discards the
+    /// flow: the already-solved network restarts from zero and must
+    /// reach a fresh network's cuts (Dinic's restart path).
     #[test]
-    fn capacity_decrease_falls_back_to_cold() {
+    fn incompatible_scale_restarts_cold() {
         let (mut pn, _) = tiny();
-        let scale = pn.scale_for(1);
-        pn.solve(scale, &[6, 6, 5, 5]);
-        // shrinking a sink arc below its carried flow cannot keep the
-        // retained residual
-        let mode = pn.solve(scale, &[6, 6, 1, 1]);
+        pn.solve(6, &[18, 18, 15, 15]);
+        let mode = pn.solve(4, &[12, 12, 2, 2]);
         assert_eq!(mode, SolveMode::Cold);
-        let mut d = fresh(scale, &[6, 6, 1, 1]);
-        d.max_flow(0, 4);
+        let mut d = fresh(4, &[12, 12, 2, 2]);
+        let f = d.max_flow(0, 4);
+        assert_eq!(pn.flow_value(), f);
         assert_eq!(pn.min_cut_source_side(), d.min_cut_source_side(0));
+        assert_eq!(pn.max_cut_source_side(), d.max_cut_source_side(4));
     }
 
     #[test]
@@ -411,34 +384,25 @@ mod tests {
     }
 
     #[test]
-    fn solve_modes_follow_monotonicity() {
+    fn capacity_decreases_retract_instead_of_resetting() {
         // (exact work-counter assertions live in tests/telemetry.rs,
         // which owns its process so the global counters are quiet)
         let (mut pn, _) = tiny();
         let scale = pn.scale_for(1);
-        assert_eq!(pn.solve(scale, &[6, 6, 1, 1]), SolveMode::Cold);
-        assert_eq!(pn.solve(scale, &[6, 6, 2, 2]), SolveMode::Warm);
-        assert_eq!(pn.solve(scale, &[6, 6, 0, 0]), SolveMode::Cold); // decrease
-    }
-
-    #[test]
-    fn retract_policy_survives_capacity_decreases() {
-        let (mut pn, _) = tiny();
-        let scale = pn.scale_for(1);
-        pn.solve(scale, &[6, 6, 5, 5]);
-        // shrinking the sink arcs below their carried flow retracts
-        // instead of resetting — and still matches a fresh solve
-        let mode = pn.solve_with(scale, &[6, 6, 1, 1], ReusePolicy::Retract);
-        assert_eq!(mode, SolveMode::Retract);
+        assert_eq!(pn.solve(scale, &[6, 6, 5, 5]), SolveMode::Cold);
+        // shrinking the sink arcs below their carried flow retracts —
+        // and still matches a fresh solve
+        assert_eq!(pn.solve(scale, &[6, 6, 1, 1]), SolveMode::Retract);
         let mut d = fresh(scale, &[6, 6, 1, 1]);
         let f = d.max_flow(0, 4);
         assert_eq!(pn.flow_value(), f);
         assert_eq!(pn.min_cut_source_side(), d.min_cut_source_side(0));
         assert_eq!(pn.max_cut_source_side(), d.max_cut_source_side(4));
+        assert_eq!(pn.solve(scale, &[6, 6, 3, 3]), SolveMode::Warm);
     }
 
     #[test]
-    fn retract_policy_matches_fresh_on_non_monotone_schedules() {
+    fn retraction_matches_fresh_on_non_monotone_schedules() {
         // zig-zag thresholds with scale changes: every step must agree
         // with a fresh network, whatever mode the solver picked
         let (mut pn, _) = tiny();
@@ -452,7 +416,7 @@ mod tests {
         ];
         for (i, (den, caps)) in schedule.iter().enumerate() {
             let scale = pn.scale_for(*den);
-            pn.solve_with(scale, caps, ReusePolicy::Retract);
+            pn.solve(scale, caps);
             let mut d = fresh(scale, caps);
             let f = d.max_flow(0, 4);
             assert_eq!(pn.flow_value(), f, "step {i}");
@@ -467,24 +431,6 @@ mod tests {
                 "step {i}"
             );
         }
-    }
-
-    #[test]
-    fn first_solve_is_cold_even_under_retract() {
-        let (mut pn, _) = tiny();
-        let scale = pn.scale_for(1);
-        assert_eq!(
-            pn.solve_with(scale, &[6, 6, 2, 2], ReusePolicy::Retract),
-            SolveMode::Cold
-        );
-        assert_eq!(
-            pn.solve_with(scale, &[6, 6, 1, 1], ReusePolicy::Retract),
-            SolveMode::Retract
-        );
-        assert_eq!(
-            pn.solve_with(scale, &[6, 6, 3, 3], ReusePolicy::Retract),
-            SolveMode::Warm
-        );
     }
 
     #[test]

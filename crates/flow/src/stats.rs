@@ -15,19 +15,13 @@
 //! * `warm_solves` / `retract_solves` / `first_build` /
 //!   `infeasible_reset` — [`crate::ParametricNetwork`] solve outcomes:
 //!   whether the retained residual flow could be kept as-is (rescaled),
-//!   kept after cancelling the infeasible excess (the GGT never-reset
+//!   kept after cancelling the infeasible excess (the never-reset
 //!   path), or discarded — and, for discards, whether that was the
 //!   unavoidable first solve on a fresh network or a genuine reset.
 //!   [`FlowStats::cold_solves`] derives the historical cold total.
 //! * `scale_fallbacks` — [`crate::ParametricNetwork::scale_for`] calls
 //!   whose chained-lcm scale would have overflowed and restarted from
 //!   the base scale (each one forfeits warm starts; previously silent).
-//! * `ggt_*` — [`crate::GgtSolver`] divide-and-conquer telemetry:
-//!   recursive interval splits, the deepest recursion reached
-//!   (process-wide high-water mark), nodes carried through a recursive
-//!   solve as contracted (pinned) material, and arcs a
-//!   rebuild-per-probe cost model would have constructed for those
-//!   solves but the shared network did not.
 //!
 //! All counters are monotone process-wide atomics with relaxed
 //! ordering: they are observability, never control flow. Callers that
@@ -46,10 +40,6 @@ pub(crate) static RETRACT_SOLVES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static FIRST_BUILD: AtomicU64 = AtomicU64::new(0);
 pub(crate) static INFEASIBLE_RESET: AtomicU64 = AtomicU64::new(0);
 pub(crate) static SCALE_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GGT_RECURSIONS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GGT_MAX_DEPTH: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GGT_CONTRACTED_NODES: AtomicU64 = AtomicU64::new(0);
-pub(crate) static GGT_ARCS_SAVED: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot (or a difference of two snapshots) of the flow-layer work
 /// counters.
@@ -65,7 +55,7 @@ pub struct FlowStats {
     pub warm_solves: u64,
     /// Parametric solves that kept the retained flow by cancelling the
     /// capacity-decrease excess along its own flow paths instead of
-    /// resetting (the GGT never-reset path).
+    /// resetting (the never-reset path).
     pub retract_solves: u64,
     /// Cold solves that were the first on a freshly built network — the
     /// one discard per network no reuse scheme can avoid.
@@ -78,25 +68,11 @@ pub struct FlowStats {
     /// the chained lcm would have overflowed the scale limit; each one
     /// forfeits the warm/retract start for that solve.
     pub scale_fallbacks: u64,
-    /// GGT divide-and-conquer recursion steps (interval splits probed).
-    pub ggt_recursions: u64,
-    /// Deepest GGT recursion reached. A process-wide high-water mark,
-    /// not an additive count: [`FlowStats::since`] carries the later
-    /// snapshot's value through unchanged.
-    pub ggt_max_depth: u64,
-    /// Ladder nodes carried through GGT recursive solves as contracted
-    /// (source/sink-pinned) material instead of being re-materialized.
-    pub ggt_contracted_nodes: u64,
-    /// Arcs that a rebuild-per-probe cost model would have constructed
-    /// for GGT recursive solves but the shared network did not.
-    pub ggt_arcs_saved: u64,
 }
 
 impl FlowStats {
     /// Component-wise difference against an earlier snapshot
     /// (saturating, so a stale snapshot can never underflow).
-    /// `ggt_max_depth` is a gauge, not a count: the later snapshot's
-    /// high-water mark is carried through as-is.
     pub fn since(&self, earlier: &FlowStats) -> FlowStats {
         FlowStats {
             networks_built: self.networks_built.saturating_sub(earlier.networks_built),
@@ -111,12 +87,6 @@ impl FlowStats {
                 .infeasible_reset
                 .saturating_sub(earlier.infeasible_reset),
             scale_fallbacks: self.scale_fallbacks.saturating_sub(earlier.scale_fallbacks),
-            ggt_recursions: self.ggt_recursions.saturating_sub(earlier.ggt_recursions),
-            ggt_max_depth: self.ggt_max_depth,
-            ggt_contracted_nodes: self
-                .ggt_contracted_nodes
-                .saturating_sub(earlier.ggt_contracted_nodes),
-            ggt_arcs_saved: self.ggt_arcs_saved.saturating_sub(earlier.ggt_arcs_saved),
         }
     }
 
@@ -170,10 +140,6 @@ pub fn flow_stats() -> FlowStats {
         first_build: FIRST_BUILD.load(Ordering::Relaxed),
         infeasible_reset: INFEASIBLE_RESET.load(Ordering::Relaxed),
         scale_fallbacks: SCALE_FALLBACKS.load(Ordering::Relaxed),
-        ggt_recursions: GGT_RECURSIONS.load(Ordering::Relaxed),
-        ggt_max_depth: GGT_MAX_DEPTH.load(Ordering::Relaxed),
-        ggt_contracted_nodes: GGT_CONTRACTED_NODES.load(Ordering::Relaxed),
-        ggt_arcs_saved: GGT_ARCS_SAVED.load(Ordering::Relaxed),
     }
 }
 
@@ -213,10 +179,6 @@ mod tests {
             first_build: 1,
             infeasible_reset: 3,
             scale_fallbacks: 1,
-            ggt_recursions: 6,
-            ggt_max_depth: 4,
-            ggt_contracted_nodes: 17,
-            ggt_arcs_saved: 220,
         };
         let b = FlowStats {
             networks_built: 2,
@@ -227,10 +189,6 @@ mod tests {
             first_build: 1,
             infeasible_reset: 1,
             scale_fallbacks: 0,
-            ggt_recursions: 2,
-            ggt_max_depth: 3,
-            ggt_contracted_nodes: 5,
-            ggt_arcs_saved: 100,
         };
         let d = a.since(&b);
         assert_eq!(d.networks_built, 3);
@@ -241,10 +199,6 @@ mod tests {
         assert_eq!(d.first_build, 0);
         assert_eq!(d.infeasible_reset, 2);
         assert_eq!(d.scale_fallbacks, 1);
-        assert_eq!(d.ggt_recursions, 4);
-        assert_eq!(d.ggt_max_depth, 4, "high-water mark carries through");
-        assert_eq!(d.ggt_contracted_nodes, 12);
-        assert_eq!(d.ggt_arcs_saved, 120);
         assert_eq!(d.cold_solves(), 2);
         assert_eq!(d.parametric_solves(), 5);
         assert!((d.warm_hit_rate() - 0.6).abs() < 1e-12);

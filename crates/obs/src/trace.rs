@@ -324,7 +324,7 @@ impl Trace {
     }
 
     /// Human-readable tree for stderr. Same-name siblings are
-    /// aggregated (`flow-ladder ×37`) with summed durations and
+    /// aggregated (`local-decompose ×37`) with summed durations and
     /// counters, so wave-parallel phases stay one line each.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -143,7 +143,7 @@ impl Json {
     /// surrounding whitespace).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, at: 0 };
+        let mut p = Parser { text, bytes, at: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -190,6 +190,7 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -286,13 +287,18 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.at + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
+                            let hex = self
+                                .bytes
+                                .get(self.at + 1..self.at + 5)
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            // exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign (`\u+041`)
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(self.err("invalid \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.at + 1..self.at + 5])
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
+                            let code = hex.iter().fold(0u32, |acc, &b| {
+                                acc * 16 + (b as char).to_digit(16).expect("hex digit")
+                            });
                             // Surrogates are not paired — the protocol
                             // never emits them; reject rather than
                             // mis-decode.
@@ -307,12 +313,17 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // copy one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one slice of the (already valid)
+                    // input. Those bytes are ASCII, so they never occur
+                    // inside a multi-byte scalar and the run ends on a
+                    // char boundary.
+                    let run = self.bytes[self.at..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.at);
+                    out.push_str(&self.text[self.at..self.at + run]);
+                    self.at += run;
                 }
             }
         }
@@ -376,6 +387,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn render_is_compact_and_ordered() {
@@ -430,6 +442,10 @@ mod tests {
             "\"unterminated",
             "\"bad\\q\"",
             "\"\\uZZZZ\"",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04\"",
             "\"\\ud800\"",
             "[1] trailing",
             "nullnull",
@@ -467,5 +483,89 @@ mod tests {
         assert!(v.get("nul").unwrap().is_null());
         assert!(v.get("missing").is_none());
         assert!(Json::Null.get("x").is_none());
+    }
+
+    /// One request line of non-ASCII text parses in time linear in its
+    /// length (the string scan once re-validated the whole remaining
+    /// input per character).
+    #[test]
+    fn long_non_ascii_string_parses_in_linear_time() {
+        let text = "é中😀ж".repeat(1 << 17); // 1.25 MiB
+        let line = Json::object([("q", Json::Str(text.clone()))]).render();
+        assert!(line.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&line).unwrap();
+        let took = start.elapsed();
+        assert_eq!(parsed.get("q").and_then(Json::as_str), Some(text.as_str()));
+        assert!(took.as_secs_f64() < 5.0, "1 MiB string took {took:?}");
+    }
+
+    /// Characters that exercise every string path of the serializer
+    /// and parser: escapes, control bytes, multi-byte scalars.
+    const CHARS: [char; 12] = [
+        'a', 'Z', '"', '\\', '/', '\n', '\u{1}', '\u{7f}', 'é', '中', '😀', ' ',
+    ];
+
+    fn string_from(w: u64) -> String {
+        (0..w % 7)
+            .map(|i| CHARS[((w >> (4 + 5 * i)) % CHARS.len() as u64) as usize])
+            .collect()
+    }
+
+    /// Decodes a word script into a value tree: each word picks a node
+    /// kind and its payload; arrays and objects take their children
+    /// from the words that follow.
+    fn tree(words: &mut std::slice::Iter<'_, u64>, depth: usize) -> Json {
+        let Some(&w) = words.next() else {
+            return Json::Null;
+        };
+        match w % if depth >= 4 { 4 } else { 6 } {
+            0 => Json::Null,
+            1 => Json::Bool(w & 8 != 0),
+            2 => {
+                let x = (w as i128) << (w % 64);
+                Json::Int(if w & 16 != 0 { -x } else { x })
+            }
+            3 => Json::Str(string_from(w)),
+            4 => Json::Array((0..w % 4).map(|_| tree(words, depth + 1)).collect()),
+            _ => Json::Object(
+                (0..w % 4)
+                    .map(|i| {
+                        (
+                            format!("{i}{}", string_from(w >> 8)),
+                            tree(words, depth + 1),
+                        )
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Fragments hostile input is assembled from: structure, broken
+    /// escapes, signs, partial literals, non-ASCII and control bytes.
+    const FRAGMENTS: [&str; 24] = [
+        "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "+0", "12", "-", "e", ".", "null", "tru",
+        " ", "é", "\u{1}", "a", "0041", "ffff", "d800", "😀",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `render` then `parse` is the identity on generated trees.
+        #[test]
+        fn parse_inverts_render(script in prop::collection::vec(any::<u64>(), 1..48)) {
+            let v = tree(&mut script.iter(), 0);
+            prop_assert_eq!(Json::parse(&v.render()), Ok(v));
+        }
+
+        /// No input makes `parse` panic; whatever it accepts renders
+        /// back to an equal value.
+        #[test]
+        fn parse_never_panics(picks in prop::collection::vec(0..FRAGMENTS.len(), 0..40)) {
+            let text: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            if let Ok(v) = Json::parse(&text) {
+                prop_assert_eq!(Json::parse(&v.render()), Ok(v));
+            }
+        }
     }
 }

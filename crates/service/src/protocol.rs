@@ -371,13 +371,6 @@ pub fn flow_stats_json(stats: &FlowStats) -> Json {
             Json::Int(stats.infeasible_reset as i128),
         ),
         ("scale_fallbacks", Json::Int(stats.scale_fallbacks as i128)),
-        ("ggt_recursions", Json::Int(stats.ggt_recursions as i128)),
-        ("ggt_max_depth", Json::Int(stats.ggt_max_depth as i128)),
-        (
-            "ggt_contracted_nodes",
-            Json::Int(stats.ggt_contracted_nodes as i128),
-        ),
-        ("ggt_arcs_saved", Json::Int(stats.ggt_arcs_saved as i128)),
     ])
 }
 
@@ -572,19 +565,13 @@ mod tests {
             first_build: 3,
             infeasible_reset: 2,
             scale_fallbacks: 0,
-            ggt_recursions: 6,
-            ggt_max_depth: 2,
-            ggt_contracted_nodes: 17,
-            ggt_arcs_saved: 240,
         };
         assert_eq!(
             flow_stats_json(&stats).render(),
             concat!(
                 r#"{"networks_built":3,"arcs_built":120,"max_flow_invocations":9,"#,
                 r#""warm_solves":4,"retract_solves":2,"cold_solves":5,"#,
-                r#""first_build":3,"infeasible_reset":2,"scale_fallbacks":0,"#,
-                r#""ggt_recursions":6,"ggt_max_depth":2,"ggt_contracted_nodes":17,"#,
-                r#""ggt_arcs_saved":240}"#
+                r#""first_build":3,"infeasible_reset":2,"scale_fallbacks":0}"#
             )
         );
     }
