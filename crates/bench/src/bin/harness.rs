@@ -10,27 +10,17 @@
 //! Output is GitHub-flavored markdown on stdout (tee it into a file to
 //! update `EXPERIMENTS.md`). `--scale` multiplies the background size
 //! of every dataset stand-in (default 0.08; 1.0 = full stand-in size).
-//! `--threads N` adds `N` to the thread sweep of the `kclist`
-//! experiment.
+//! `--threads N` counts `table2real`'s cliques on `N` threads.
 //!
-//! Four experiments record committed `BENCH_*.json` baselines
-//! (directory override: `LHCDS_BENCH_DIR`), each stamped with the
-//! recording host's parallelism (`host_parallelism`,
-//! `recorded_on_single_cpu`):
+//! `table2real` records `BENCH_table2.json` (directory override:
+//! `LHCDS_BENCH_DIR`), stamped with the recording host's parallelism
+//! (`host_parallelism`, `recorded_on_single_cpu`): statistics of any
+//! real SNAP graphs present via the `datasets.toml` manifest. It skips
+//! gracefully when none are downloaded, so CI stays hermetic.
 //!
-//! * `kclist` → `BENCH_kclist.json` — serial vs node-parallel
-//!   enumeration;
-//! * `table2real` → `BENCH_table2.json` — statistics of any real SNAP
-//!   graphs present via the `datasets.toml` manifest (skips gracefully
-//!   when none are downloaded, so CI stays hermetic);
-//! * `serve_qps` → `BENCH_serve.json` — query-daemon throughput plus
-//!   server-side histogram p50/p99/p999 tail latency (`lhcds-service`),
-//!   and a 2× overload burst against a starved daemon recording the
-//!   shed rate and admitted-request p99;
-//! * `obs` → `BENCH_obs.json` — `lhcds_obs` tracing cost, off vs on:
-//!   asserts traced and untraced pipelines agree byte-for-byte and
-//!   that disabled instrumentation — span guards and disarmed
-//!   fault-injection checks alike — stays under 1% of wall.
+//! The performance of the product surfaces (top-k, index build,
+//! serving) is measured by the gated benchmark under `benchmark/` (see
+//! `BENCHMARK.json`), not by this harness.
 
 use lhcds_bench::experiments::{all_experiments, run_experiment, ExpOptions};
 use lhcds_bench::measure::CountingAllocator;

@@ -8,23 +8,22 @@
 
 use crate::measure::{fmt_kb, peak_bytes, reset_peak, time_ms, BenchProvenance, MdTable};
 use lhcds::baselines::{greedy_top_k_cds, FlowLds};
-use lhcds::clique::{count_cliques, par_count_cliques, par_count_per_vertex, Parallelism};
+use lhcds::clique::{count_cliques, par_count_cliques, Parallelism};
 use lhcds::core::pipeline::{top_k_lhcds, IppvConfig, IppvResult};
 use lhcds::data::datasets::by_abbr;
 use lhcds::data::manifest::DatasetRegistry;
 use lhcds::data::{polbooks_like, registry, Dataset, LabeledGraph};
 use lhcds::graph::properties::{average_clustering, diameter, edge_density};
 use lhcds::graph::{CsrGraph, InducedSubgraph};
-use lhcds::patterns::{enumerate_pattern_with, top_k_lhxpds, Pattern};
+use lhcds::patterns::{top_k_lhxpds, Pattern};
+use lhcds::service::json::Json;
 
 /// Experiment options.
 #[derive(Debug, Clone, Copy)]
 pub struct ExpOptions {
     /// Dataset scale factor in `(0, 1]` (background size multiplier).
     pub scale: f64,
-    /// Worker threads for clique enumeration where an experiment
-    /// supports it: `kclist` adds this count to its 1/2/4 sweep, and
-    /// `table2real` counts |Ψ3|/|Ψ5| on this many threads (`0` =
+    /// Worker threads for `table2real`'s |Ψ3|/|Ψ5| counts (`0` =
     /// serial). Results never depend on it — only wall time does.
     pub threads: usize,
 }
@@ -74,10 +73,6 @@ pub fn all_experiments() -> &'static [&'static str] {
         "fig16",
         "fig17",
         "ablation",
-        "kclist",
-        "patterns",
-        "serve_qps",
-        "obs",
     ]
 }
 
@@ -99,10 +94,6 @@ pub fn run_experiment(name: &str, opts: &ExpOptions) -> Option<String> {
         "fig16" => fig16(opts),
         "fig17" => fig17(opts),
         "ablation" => ablation(opts),
-        "kclist" => kclist(opts),
-        "patterns" => patterns(opts),
-        "serve_qps" => serve_qps(opts),
-        "obs" => obs(opts),
         _ => return None,
     })
 }
@@ -152,21 +143,6 @@ pub fn table2real(opts: &ExpOptions) -> String {
     )
 }
 
-/// Escapes a string for splicing into a JSON string literal (dataset
-/// names come from the user's manifest, not from this crate).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// [`table2real`] with explicit manifest and output paths (unit tests
 /// point these at fixtures and temp dirs).
 fn table2real_on(
@@ -201,7 +177,7 @@ fn table2real_on(
         "load (ms)",
         "source",
     ]);
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut json_rows: Vec<Json> = Vec::new();
     let mut absent: Vec<&str> = Vec::new();
     for entry in registry.entries() {
         if !entry.is_present() {
@@ -242,14 +218,18 @@ fn table2real_on(
             format!("{ms:.1}"),
             source.to_string(),
         ]);
-        json_rows.push(format!(
-            "    {{\"dataset\": \"{}\", \"n\": {}, \"m\": {}, \"psi3\": {psi3}, \
-             \"psi5\": {psi5}, \"load_ms\": {ms:.3}, \"from_cache\": {}}}",
-            json_escape(&entry.name),
-            g.n(),
-            g.m(),
-            status == lhcds::data::CacheStatus::Hit,
-        ));
+        json_rows.push(Json::object([
+            ("dataset", Json::Str(entry.name.clone())),
+            ("n", Json::Int(g.n() as i128)),
+            ("m", Json::Int(g.m() as i128)),
+            ("psi3", Json::Int(psi3.into())),
+            ("psi5", Json::Int(psi5.into())),
+            ("load_us", Json::Int((ms * 1e3).round() as i128)),
+            (
+                "from_cache",
+                Json::Bool(status == lhcds::data::CacheStatus::Hit),
+            ),
+        ]));
     }
 
     if t.is_empty() {
@@ -268,13 +248,14 @@ fn table2real_on(
             t.render()
         );
     }
-    let json = format!(
-        "{{\n  \"experiment\": \"table2real\",\n  {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        BenchProvenance::detect().json_fields(),
-        json_rows.join(",\n")
+    let json = Json::object(
+        [("experiment", Json::Str("table2real".into()))]
+            .into_iter()
+            .chain(BenchProvenance::detect().json_pairs())
+            .chain([("rows", Json::Array(json_rows))]),
     );
     let path = out_dir.join("BENCH_table2.json");
-    let note = match std::fs::write(&path, &json) {
+    let note = match std::fs::write(&path, json.render() + "\n") {
         Ok(()) => format!("recorded to `{}`", path.display()),
         Err(e) => format!("could not write `{}`: {e}", path.display()),
     };
@@ -651,686 +632,6 @@ pub fn fig17(_opts: &ExpOptions) -> String {
     )
 }
 
-/// Serial vs node-parallel kClist enumeration, recorded to
-/// `BENCH_kclist.json` so future perf PRs have a committed
-/// before/after anchor.
-///
-/// The workloads are fixed (independent of `--scale`) to keep the
-/// recorded baseline comparable across runs: the largest
-/// planted-community synthetic plus a dense `G(n, p)` whose 4/5-clique
-/// counts dominate enumeration time. Every parallel run is asserted
-/// equal to the serial count, and the per-vertex degree vector is
-/// asserted byte-identical at 4 threads.
-pub fn kclist(opts: &ExpOptions) -> String {
-    let workloads: Vec<(&str, CsrGraph, Vec<usize>)> = vec![
-        (
-            "planted_communities_8000",
-            lhcds::data::gen::planted_communities(
-                8000,
-                4,
-                &[(28, 0.9), (22, 0.85), (16, 0.9), (12, 0.95)],
-                0xBEEF,
-            ),
-            vec![3, 4, 5],
-        ),
-        (
-            "gnp_2000_p10",
-            lhcds::data::gen::gnp(2000, 0.1, 0xBEEF),
-            vec![4, 5],
-        ),
-    ];
-    let dir = std::env::var("LHCDS_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    kclist_on(opts, workloads, std::path::Path::new(&dir))
-}
-
-/// [`kclist`] with explicit workloads and output directory (unit tests
-/// swap in tiny graphs and a temp dir — the full-size sweep only runs
-/// under the release-built harness).
-fn kclist_on(
-    opts: &ExpOptions,
-    workloads: Vec<(&str, CsrGraph, Vec<usize>)>,
-    out_dir: &std::path::Path,
-) -> String {
-    let mut threads: Vec<usize> = vec![1, 2, 4];
-    if opts.threads > 0 && !threads.contains(&opts.threads) {
-        threads.push(opts.threads);
-    }
-
-    let mut t = MdTable::new(["graph", "h", "threads", "time (ms)", "|Ψh|", "speedup"]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for (name, g, hs) in &workloads {
-        for &h in hs {
-            let mut serial_ms = 0.0f64;
-            let mut serial_count = 0u64;
-            for &tc in &threads {
-                let par = Parallelism::threads(tc);
-                let (count, ms) = time_ms(|| par_count_cliques(g, h, &par));
-                if tc == 1 {
-                    serial_ms = ms;
-                    serial_count = count;
-                } else {
-                    assert_eq!(count, serial_count, "{name} h={h} threads={tc} diverged");
-                }
-                let speedup = serial_ms / ms.max(1e-9);
-                t.row([
-                    name.to_string(),
-                    h.to_string(),
-                    tc.to_string(),
-                    format!("{ms:.1}"),
-                    count.to_string(),
-                    format!("{speedup:.2}x"),
-                ]);
-                json_rows.push(format!(
-                    "    {{\"graph\": \"{name}\", \"n\": {}, \"m\": {}, \"h\": {h}, \
-                     \"threads\": {tc}, \"wall_ms\": {ms:.3}, \"cliques\": {count}, \
-                     \"speedup_vs_serial\": {speedup:.3}}}",
-                    g.n(),
-                    g.m(),
-                ));
-            }
-            // byte-identical degree vectors, the acceptance contract
-            assert_eq!(
-                par_count_per_vertex(g, h, &Parallelism::threads(4)),
-                par_count_per_vertex(g, h, &Parallelism::serial()),
-                "{name} h={h}: degree vectors must be byte-identical"
-            );
-        }
-    }
-
-    let provenance = BenchProvenance::detect();
-    let host = provenance.host_parallelism;
-    let json = format!(
-        "{{\n  \"experiment\": \"kclist\",\n  {},\n  {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        provenance.json_fields(),
-        provenance.speedup_fields(),
-        json_rows.join(",\n")
-    );
-    let path = out_dir.join("BENCH_kclist.json");
-    let note = match std::fs::write(&path, &json) {
-        Ok(()) => format!("baseline recorded to `{}`", path.display()),
-        Err(e) => format!("could not write `{}`: {e}", path.display()),
-    };
-    format!(
-        "## kClist — serial vs node-parallel enumeration (host parallelism: {host})\n{}\n{}\n{note}\n",
-        provenance.speedup_caveat(),
-        t.render()
-    )
-}
-
-/// Pattern enumeration, serial vs the sharded block-collect path: every
-/// Figure 8 non-clique enumerator (3-star, 4-path, c3-star, 4-loop,
-/// 2-triangle) plus the kClist-backed 4-clique, at 1/2/4 threads (and
-/// `--threads`, when extra). Each parallel store is asserted
-/// byte-identical to the serial one before its time is recorded — a
-/// speedup that changed the answer would be worthless. Rows land in
-/// `BENCH_patterns.json` with the standard provenance stamp
-/// (`speedup_meaningful` etc.).
-pub fn patterns(opts: &ExpOptions) -> String {
-    let workloads: Vec<(&str, CsrGraph)> = vec![
-        (
-            "planted_communities_4000",
-            lhcds::data::gen::planted_communities(
-                4000,
-                3,
-                &[(22, 0.9), (16, 0.9), (12, 0.95)],
-                0xBEEF,
-            ),
-        ),
-        ("gnp_1200_p04", lhcds::data::gen::gnp(1200, 0.04, 0xBEEF)),
-    ];
-    let dir = std::env::var("LHCDS_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    patterns_on(opts, workloads, std::path::Path::new(&dir))
-}
-
-/// [`patterns`] with explicit workloads and output directory (unit
-/// tests swap in tiny graphs and a temp dir).
-fn patterns_on(
-    opts: &ExpOptions,
-    workloads: Vec<(&str, CsrGraph)>,
-    out_dir: &std::path::Path,
-) -> String {
-    let mut threads: Vec<usize> = vec![1, 2, 4];
-    if opts.threads > 0 && !threads.contains(&opts.threads) {
-        threads.push(opts.threads);
-    }
-    let sweep = [
-        Pattern::Star3,
-        Pattern::Path4,
-        Pattern::TailedTriangle,
-        Pattern::Cycle4,
-        Pattern::Diamond,
-        Pattern::Clique4,
-    ];
-
-    let mut t = MdTable::new([
-        "graph",
-        "pattern",
-        "threads",
-        "time (ms)",
-        "instances",
-        "speedup",
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for (name, g) in &workloads {
-        for p in sweep {
-            let mut serial_ms = 0.0f64;
-            let mut serial_store = None;
-            for &tc in &threads {
-                let par = Parallelism::threads(tc);
-                let (store, ms) = time_ms(|| enumerate_pattern_with(g, p, &par));
-                match &serial_store {
-                    None => {
-                        serial_ms = ms;
-                        serial_store = Some(store.clone());
-                    }
-                    Some(serial) => {
-                        // byte-identity is the acceptance contract
-                        assert_eq!(serial.len(), store.len(), "{name} {p} threads={tc}");
-                        for i in 0..serial.len() {
-                            assert_eq!(
-                                serial.members(i),
-                                store.members(i),
-                                "{name} {p} threads={tc} instance {i} diverged"
-                            );
-                        }
-                    }
-                }
-                let count = store.len();
-                let speedup = serial_ms / ms.max(1e-9);
-                t.row([
-                    name.to_string(),
-                    p.key(),
-                    tc.to_string(),
-                    format!("{ms:.1}"),
-                    count.to_string(),
-                    format!("{speedup:.2}x"),
-                ]);
-                json_rows.push(format!(
-                    "    {{\"graph\": \"{name}\", \"n\": {}, \"m\": {}, \"pattern\": \"{}\", \
-                     \"threads\": {tc}, \"wall_ms\": {ms:.3}, \"instances\": {count}, \
-                     \"speedup_vs_serial\": {speedup:.3}}}",
-                    g.n(),
-                    g.m(),
-                    p.key(),
-                ));
-            }
-        }
-    }
-
-    let provenance = BenchProvenance::detect();
-    let host = provenance.host_parallelism;
-    let json = format!(
-        "{{\n  \"experiment\": \"patterns\",\n  {},\n  {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        provenance.json_fields(),
-        provenance.speedup_fields(),
-        json_rows.join(",\n")
-    );
-    let path = out_dir.join("BENCH_patterns.json");
-    let note = match std::fs::write(&path, &json) {
-        Ok(()) => format!("baseline recorded to `{}`", path.display()),
-        Err(e) => format!("could not write `{}`: {e}", path.display()),
-    };
-    format!(
-        "## Patterns — serial vs sharded motif enumeration (host parallelism: {host})\n{}\n{}\n{note}\n",
-        provenance.speedup_caveat(),
-        t.render()
-    )
-}
-
-/// Serving throughput of the `lhcds-service` daemon: spawn a server
-/// in-process, hammer it from concurrent persistent connections with a
-/// mixed query workload (`top_k` across the k range, `density_of`,
-/// `membership`), and record QPS plus the server's own
-/// histogram-derived p50/p99/p999 latency to `BENCH_serve.json`
-/// (standard provenance stamp). Percentiles come from the same
-/// [`lhcds::obs::Histogram`] the `stats` and `metrics` ops serve, so
-/// the recorded baseline is exactly what operators will see live.
-///
-/// Queries are index reads — no flow network, no pipeline — so this
-/// measures the protocol + thread-pool + LRU path, which is exactly
-/// what a perf PR on the service layer needs as its before/after
-/// anchor. Note the usual single-CPU caveat: with
-/// `recorded_on_single_cpu: true`, client and server threads share one
-/// core and the QPS floor is pessimistic.
-///
-/// A final *overload burst* phase starves the daemon (one worker, one
-/// admission slot) under 2× the client count with a fresh connection
-/// per request, and records the shed rate plus the p99 of admitted
-/// requests — the committed baseline for the shedding policy.
-pub fn serve_qps(_opts: &ExpOptions) -> String {
-    let dir = std::env::var("LHCDS_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    let workloads: Vec<(&str, CsrGraph)> = vec![
-        ("figure2", lhcds::data::figure2_graph()),
-        (
-            "planted_communities_2000",
-            lhcds::data::gen::planted_communities(
-                2000,
-                3,
-                &[(18, 0.9), (14, 0.9), (10, 0.95)],
-                0xFEED,
-            ),
-        ),
-    ];
-    serve_qps_on(workloads, 4, 400, std::path::Path::new(&dir))
-}
-
-/// [`serve_qps`] with explicit workloads, client count, per-client
-/// request count, and output directory (unit tests shrink all three).
-fn serve_qps_on(
-    workloads: Vec<(&str, CsrGraph)>,
-    clients: usize,
-    requests_per_client: usize,
-    out_dir: &std::path::Path,
-) -> String {
-    use lhcds::core::index::{DecompositionIndex, IndexConfig};
-    use lhcds::service::server::{ServeOptions, ServedIndexes, Server};
-    use std::io::{BufRead, BufReader, Write};
-
-    const K_MAX: usize = 8;
-    let mut t = MdTable::new([
-        "workload",
-        "clients",
-        "requests",
-        "QPS",
-        "p50 (µs)",
-        "p99 (µs)",
-        "p999 (µs)",
-        "LRU hit rate",
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-
-    for (name, g) in &workloads {
-        let mut served = ServedIndexes {
-            name: (*name).into(),
-            n: g.n(),
-            m: g.m(),
-            original_ids: None,
-            indexes: std::collections::BTreeMap::new(),
-            failed: std::collections::BTreeMap::new(),
-        };
-        served.insert(DecompositionIndex::build(
-            g,
-            3,
-            &IndexConfig {
-                k_max: K_MAX,
-                ..IndexConfig::default()
-            },
-        ));
-        let server = Server::bind(
-            "127.0.0.1:0",
-            served,
-            &ServeOptions {
-                workers: clients,
-                ..ServeOptions::default()
-            },
-        )
-        .expect("bind ephemeral port");
-        let addr = server.local_addr();
-
-        let n = g.n() as u64;
-        let t0 = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    scope.spawn(move || {
-                        // one persistent connection per client, like a
-                        // well-behaved consumer
-                        let stream = std::net::TcpStream::connect(addr).expect("connect");
-                        stream.set_nodelay(true).ok();
-                        let mut writer = stream.try_clone().expect("clone");
-                        let mut reader = BufReader::new(stream);
-                        let mut line = String::new();
-                        for i in 0..requests_per_client {
-                            // mixed workload: ~half hot top_k, half
-                            // per-vertex point queries
-                            let request = match i % 4 {
-                                0 | 1 => format!(
-                                    "{{\"op\":\"top_k\",\"h\":3,\"k\":{}}}\n",
-                                    1 + (i + c) % K_MAX
-                                ),
-                                2 => format!(
-                                    "{{\"op\":\"density_of\",\"h\":3,\"vertex\":{}}}\n",
-                                    (i as u64 * 7919 + c as u64) % n
-                                ),
-                                _ => format!(
-                                    "{{\"op\":\"membership\",\"h\":3,\"vertex\":{}}}\n",
-                                    (i as u64 * 104729 + c as u64) % n
-                                ),
-                            };
-                            writer.write_all(request.as_bytes()).expect("send");
-                            writer.flush().expect("flush");
-                            line.clear();
-                            reader.read_line(&mut line).expect("receive");
-                            assert!(line.contains("\"ok\":true"), "{name}: {line}");
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("client");
-            }
-        });
-        let wall_s = t0.elapsed().as_secs_f64();
-        let (hits, misses) = server.lru_counters();
-        // server-side telemetry: every request the clients just sent —
-        // and nothing else — is in the always-on latency histogram, so
-        // the count doubles as a wiring check
-        let total = clients * requests_per_client;
-        let stats = server.stats();
-        assert_eq!(
-            stats.latency.count(),
-            total as u64,
-            "{name}: histogram must have recorded every request"
-        );
-        let (p50, p99, p999) = (
-            stats.latency.p50(),
-            stats.latency.p99(),
-            stats.latency.p999(),
-        );
-        server.shutdown_handle().shutdown();
-        server.join();
-
-        let qps = total as f64 / wall_s.max(1e-9);
-        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-
-        t.row([
-            name.to_string(),
-            clients.to_string(),
-            total.to_string(),
-            format!("{qps:.0}"),
-            p50.to_string(),
-            p99.to_string(),
-            p999.to_string(),
-            format!("{:.0}%", hit_rate * 100.0),
-        ]);
-        json_rows.push(format!(
-            "    {{\"workload\": \"{name}\", \"n\": {}, \"m\": {}, \"h\": 3, \
-             \"k_max\": {K_MAX}, \"clients\": {clients}, \"requests\": {total}, \
-             \"qps\": {qps:.1}, \"latency_source\": \"server_histogram\", \
-             \"p50_us\": {p50}, \"p99_us\": {p99}, \"p999_us\": {p999}, \
-             \"lru_hit_rate\": {hit_rate:.4}}}",
-            g.n(),
-            g.m(),
-        ));
-    }
-
-    // Overload burst: a deliberately starved daemon (one worker, one
-    // admission slot) hit by 2× the nominal client count, each client
-    // opening a fresh connection per request — the worst-case consumer.
-    // Records the shed rate and the p99 of the requests that *were*
-    // admitted, so shedding-policy changes have a committed baseline.
-    // Shedding is load-dependent: on a fast host the rate can be 0.0,
-    // which is still a valid recording (the typed-error path is covered
-    // separately by the chaos suite).
-    let (burst_name, burst_graph) = &workloads[0];
-    let mut served = ServedIndexes {
-        name: (*burst_name).into(),
-        n: burst_graph.n(),
-        m: burst_graph.m(),
-        original_ids: None,
-        indexes: std::collections::BTreeMap::new(),
-        failed: std::collections::BTreeMap::new(),
-    };
-    served.insert(DecompositionIndex::build(
-        burst_graph,
-        3,
-        &IndexConfig {
-            k_max: K_MAX,
-            ..IndexConfig::default()
-        },
-    ));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        served,
-        &ServeOptions {
-            workers: 1,
-            max_pending: 1,
-            ..ServeOptions::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let burst_clients = clients * 2;
-    let per_client = requests_per_client / 2;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..burst_clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut line = String::new();
-                    for i in 0..per_client {
-                        let Ok(stream) = std::net::TcpStream::connect(addr) else {
-                            continue; // accept backlog overflow counts as shed pressure
-                        };
-                        stream.set_nodelay(true).ok();
-                        let mut writer = stream.try_clone().expect("clone");
-                        let request = format!(
-                            "{{\"op\":\"top_k\",\"h\":3,\"k\":{}}}\n",
-                            1 + (i + c) % K_MAX
-                        );
-                        if writer.write_all(request.as_bytes()).is_err() {
-                            continue;
-                        }
-                        writer.flush().ok();
-                        line.clear();
-                        let mut reader = BufReader::new(&stream);
-                        let _ = reader.read_line(&mut line);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("burst client");
-        }
-    });
-    let stats = server.stats();
-    let admitted = stats.latency.count();
-    let shed = stats.sheds.load(std::sync::atomic::Ordering::Relaxed);
-    let burst_p99 = stats.latency.p99();
-    server.shutdown_handle().shutdown();
-    server.join();
-    let offered = admitted + shed;
-    let shed_rate = shed as f64 / offered.max(1) as f64;
-    t.row([
-        format!("{burst_name} (2x burst, workers=1)"),
-        burst_clients.to_string(),
-        offered.to_string(),
-        "—".into(),
-        "—".into(),
-        burst_p99.to_string(),
-        "—".into(),
-        format!("shed {:.0}%", shed_rate * 100.0),
-    ]);
-    let burst_json = format!(
-        "  \"overload_burst\": {{\"workload\": \"{burst_name}\", \"workers\": 1, \
-         \"max_pending\": 1, \"clients\": {burst_clients}, \"offered\": {offered}, \
-         \"admitted\": {admitted}, \"shed\": {shed}, \"shed_rate\": {shed_rate:.4}, \
-         \"admitted_p99_us\": {burst_p99}}},"
-    );
-
-    let provenance = BenchProvenance::detect();
-    let json = format!(
-        "{{\n  \"experiment\": \"serve_qps\",\n  {},\n{burst_json}\n  \"rows\": [\n{}\n  ]\n}}\n",
-        provenance.json_fields(),
-        json_rows.join(",\n")
-    );
-    let path = out_dir.join("BENCH_serve.json");
-    let note = match std::fs::write(&path, &json) {
-        Ok(()) => format!("baseline recorded to `{}`", path.display()),
-        Err(e) => format!("could not write `{}`: {e}", path.display()),
-    };
-    format!(
-        "## serve_qps — query daemon throughput (host parallelism: {})\n\n{}\n{note}\n",
-        provenance.host_parallelism,
-        t.render()
-    )
-}
-
-/// Observability overhead: the full IPPV pipeline with `lhcds_obs`
-/// tracing off vs on, recorded to `BENCH_obs.json`.
-///
-/// Three claims, each asserted rather than eyeballed:
-///
-/// 1. **Byte-identity** — tracing must never change answers, so the
-///    traced run's subgraphs are asserted equal to the untraced run's.
-/// 2. **Disabled cost in the noise** — a disabled `span()` is one
-///    relaxed atomic load plus an `Instant::now`; a microbenchmark
-///    measures its per-call cost, and (span count in a real trace) ×
-///    (that cost) is asserted under 1% of the untraced pipeline wall.
-///    This estimate is deliberately used instead of differencing two
-///    wall-clock medians, which on a noisy CI host would measure the
-///    scheduler, not the instrumentation.
-/// 3. **Enabled cost bounded** — the traced median is reported next to
-///    the untraced one so regressions in the *enabled* path (e.g. a
-///    lock on span creation) show up in the committed baseline.
-/// 4. **Disarmed faults pinned** — the fault-injection registry shares
-///    the same always-in contract as spans (one relaxed atomic load
-///    when disarmed); its per-check cost is measured and held to the
-///    same < 1%-of-wall bound, deliberately over-counting one check
-///    per span site.
-pub fn obs(_opts: &ExpOptions) -> String {
-    let dir = std::env::var("LHCDS_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    let workloads: Vec<(&str, CsrGraph)> = vec![(
-        "planted_communities_2000",
-        lhcds::data::gen::planted_communities(2000, 3, &[(18, 0.9), (14, 0.9), (10, 0.95)], 0x0B5),
-    )];
-    obs_on(workloads, 3, std::path::Path::new(&dir))
-}
-
-/// [`obs`] with explicit workloads, repetition count, and output
-/// directory (unit tests shrink all three).
-fn obs_on(workloads: Vec<(&str, CsrGraph)>, reps: usize, out_dir: &std::path::Path) -> String {
-    use lhcds::obs;
-
-    let median = |mut xs: Vec<f64>| -> f64 {
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        xs[xs.len() / 2]
-    };
-
-    // per-call cost of a *disabled* span: the no-op contract the rest
-    // of the codebase relies on to leave instrumentation always-in
-    obs::set_tracing(false);
-    let iters = 1_000_000u32;
-    let t0 = std::time::Instant::now();
-    for _ in 0..iters {
-        let _guard = obs::span("disabled-span-microbench");
-    }
-    let disabled_span_ns = t0.elapsed().as_nanos() as f64 / f64::from(iters);
-
-    // per-call cost of a *disarmed* fault-injection check: like the
-    // disabled span, the registry's no-op contract is one relaxed
-    // atomic load, and production request paths carry a handful of
-    // these checks permanently
-    obs::fault::disarm();
-    let t0 = std::time::Instant::now();
-    let mut fired_sum = 0u32;
-    for _ in 0..iters {
-        // black_box keeps the optimizer from hoisting the relaxed
-        // load out of the loop and reporting a vacuous 0 ns
-        fired_sum += u32::from(obs::fault::should_fire(std::hint::black_box(
-            obs::fault::FaultPoint::SocketRead,
-        )));
-    }
-    let disabled_fault_ns = t0.elapsed().as_nanos() as f64 / f64::from(iters);
-    assert_eq!(fired_sum, 0, "disarmed registry must never fire");
-
-    let mut t = MdTable::new([
-        "workload",
-        "reps",
-        "off (ms)",
-        "on (ms)",
-        "spans",
-        "off-overhead est.",
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for (name, g) in &workloads {
-        let cfg = IppvConfig::default();
-        let mut off_ms = Vec::with_capacity(reps);
-        let mut on_ms = Vec::with_capacity(reps);
-        let mut span_count = 0usize;
-        for _ in 0..reps {
-            obs::set_tracing(false);
-            let _ = obs::take_trace();
-            let (res_off, ms) = time_ms(|| top_k_lhcds(g, 3, 10, &cfg));
-            off_ms.push(ms);
-
-            obs::set_tracing(true);
-            let (res_on, ms) = time_ms(|| top_k_lhcds(g, 3, 10, &cfg));
-            on_ms.push(ms);
-            obs::set_tracing(false);
-            let trace = obs::take_trace().expect("traced run must leave a trace");
-            // every span renders exactly one "name" key in the JSON
-            // export — a cheap census that needs no tree-walking API
-            span_count = trace.to_json().matches("\"name\":").count();
-            assert!(span_count > 0, "{name}: traced pipeline recorded no spans");
-
-            assert_eq!(
-                res_off.subgraphs, res_on.subgraphs,
-                "{name}: tracing changed the answer"
-            );
-        }
-        let (off, on) = (median(off_ms), median(on_ms));
-        // what the disabled instrumentation costs an untraced run:
-        // every span site still executes its guard
-        let overhead = (span_count as f64 * disabled_span_ns) / (off * 1e6).max(1.0);
-        assert!(
-            overhead < 0.01,
-            "{name}: disabled tracing estimated at {:.3}% of wall (spans={span_count}, \
-             {disabled_span_ns:.1} ns/span, off wall {off:.1} ms)",
-            overhead * 100.0
-        );
-        // same pin for the disarmed fault registry, deliberately
-        // over-counted: even if *every* span site also carried a fault
-        // check (real request paths have ~4), the disarmed cost must
-        // stay under 1% of the untraced wall
-        let fault_overhead = (span_count as f64 * disabled_fault_ns) / (off * 1e6).max(1.0);
-        assert!(
-            fault_overhead < 0.01,
-            "{name}: disarmed fault checks estimated at {:.3}% of wall \
-             ({disabled_fault_ns:.1} ns/check, off wall {off:.1} ms)",
-            fault_overhead * 100.0
-        );
-
-        t.row([
-            name.to_string(),
-            reps.to_string(),
-            format!("{off:.1}"),
-            format!("{on:.1}"),
-            span_count.to_string(),
-            format!("{:.4}%", overhead * 100.0),
-        ]);
-        json_rows.push(format!(
-            "    {{\"workload\": \"{name}\", \"n\": {}, \"m\": {}, \"h\": 3, \"k\": 10, \
-             \"reps\": {reps}, \"wall_off_ms\": {off:.3}, \"wall_on_ms\": {on:.3}, \
-             \"trace_spans\": {span_count}, \"disabled_span_ns\": {disabled_span_ns:.2}, \
-             \"estimated_off_overhead\": {overhead:.6}, \
-             \"disabled_fault_ns\": {disabled_fault_ns:.2}, \
-             \"estimated_fault_off_overhead\": {fault_overhead:.6}, \
-             \"outputs_identical\": true}}",
-            g.n(),
-            g.m(),
-        ));
-    }
-
-    let provenance = BenchProvenance::detect();
-    let json = format!(
-        "{{\n  \"experiment\": \"obs\",\n  {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        provenance.json_fields(),
-        json_rows.join(",\n")
-    );
-    let path = out_dir.join("BENCH_obs.json");
-    let note = match std::fs::write(&path, &json) {
-        Ok(()) => format!("baseline recorded to `{}`", path.display()),
-        Err(e) => format!("could not write `{}`: {e}", path.display()),
-    };
-    format!(
-        "## obs — tracing overhead, off vs on (host parallelism: {})\n\n\
-         disabled span: {disabled_span_ns:.1} ns/call · disarmed fault check: \
-         {disabled_fault_ns:.1} ns/call\n\n{}\n{note}\n",
-        provenance.host_parallelism,
-        t.render()
-    )
-}
-
 /// Ablation: fast-verifier features on/off (DESIGN.md §4).
 pub fn ablation(opts: &ExpOptions) -> String {
     let mut t = MdTable::new([
@@ -1429,165 +730,12 @@ mod tests {
                 "fig15",
                 "fig16",
                 "fig17",
-                "ablation",
-                "kclist",
-                "patterns",
-                "serve_qps",
-                "obs"
+                "ablation"
             ]
             .contains(name));
         }
+        assert_eq!(all_experiments().len(), 15);
         assert!(run_experiment("nope", &TINY).is_none());
-    }
-
-    #[test]
-    fn serve_qps_records_a_json_baseline() {
-        let dir = std::env::temp_dir().join("lhcds_bench_serve_qps_test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let tiny = vec![("figure2_tiny", lhcds::data::figure2_graph())];
-        let out = serve_qps_on(tiny, 2, 12, &dir);
-        assert!(out.contains("baseline recorded"), "{out}");
-        assert!(out.contains("| figure2_tiny "), "{out}");
-        let json = std::fs::read_to_string(dir.join("BENCH_serve.json")).unwrap();
-        for key in [
-            "\"experiment\": \"serve_qps\"",
-            "\"host_parallelism\"",
-            "\"recorded_on_single_cpu\"",
-            "\"workload\": \"figure2_tiny\"",
-            "\"clients\": 2",
-            "\"requests\": 24",
-            "\"qps\"",
-            "\"latency_source\": \"server_histogram\"",
-            "\"p50_us\"",
-            "\"p99_us\"",
-            "\"p999_us\"",
-            "\"lru_hit_rate\"",
-            "\"overload_burst\"",
-            "\"max_pending\": 1",
-            "\"shed_rate\"",
-            "\"admitted_p99_us\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        // histogram-derived percentiles are integer microseconds —
-        // there must be no float in the latency fields
-        assert!(!json.contains("\"p50_us\": 0."), "{json}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn obs_records_a_json_baseline_and_bounds_overhead() {
-        let dir = std::env::temp_dir().join("lhcds_bench_obs_test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        // big enough that the pipeline wall dwarfs span-guard cost even
-        // in a debug build (the <1% assertion runs inside obs_on)
-        let tiny = vec![(
-            "planted_tiny",
-            lhcds::data::gen::planted_communities(200, 3, &[(14, 0.9), (10, 0.9)], 0x0B5),
-        )];
-        let out = obs_on(tiny, 2, &dir);
-        assert!(out.contains("baseline recorded"), "{out}");
-        assert!(out.contains("disabled span:"), "{out}");
-        let json = std::fs::read_to_string(dir.join("BENCH_obs.json")).unwrap();
-        for key in [
-            "\"experiment\": \"obs\"",
-            "\"host_parallelism\"",
-            "\"recorded_on_single_cpu\"",
-            "\"workload\": \"planted_tiny\"",
-            "\"reps\": 2",
-            "\"wall_off_ms\"",
-            "\"wall_on_ms\"",
-            "\"trace_spans\"",
-            "\"disabled_span_ns\"",
-            "\"estimated_off_overhead\"",
-            "\"disabled_fault_ns\"",
-            "\"estimated_fault_off_overhead\"",
-            "\"outputs_identical\": true",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn kclist_records_a_json_baseline() {
-        let dir = std::env::temp_dir().join("lhcds_bench_kclist_test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let tiny = vec![(
-            "planted_tiny",
-            lhcds::data::gen::planted_communities(60, 2, &[(8, 0.9)], 0xBEEF),
-            vec![3usize],
-        )];
-        // 7 appears in neither the default sweep (1/2/4) nor the h
-        // list, so it can only come from the --threads plumbing
-        let out = kclist_on(
-            &ExpOptions {
-                threads: 7,
-                ..ExpOptions::default()
-            },
-            tiny,
-            &dir,
-        );
-        assert!(out.contains("baseline recorded"));
-        assert!(out.contains("| 7 "), "extra --threads row missing");
-        let json = std::fs::read_to_string(dir.join("BENCH_kclist.json")).unwrap();
-        assert!(json.contains("\"threads\": 7"), "extra thread row: {json}");
-        for key in [
-            "\"experiment\": \"kclist\"",
-            "\"host_parallelism\"",
-            "\"recorded_on_single_cpu\"",
-            "\"speedup_meaningful\"",
-            "\"graph\"",
-            "\"h\"",
-            "\"threads\": 1",
-            "\"wall_ms\"",
-            "\"cliques\"",
-            "\"speedup_vs_serial\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn patterns_records_a_json_baseline() {
-        let dir = std::env::temp_dir().join("lhcds_bench_patterns_test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let tiny = vec![("figure2_tiny", lhcds::data::figure2_graph())];
-        // 7 appears nowhere in the default 1/2/4 sweep, so it can only
-        // come from the --threads plumbing
-        let out = patterns_on(
-            &ExpOptions {
-                threads: 7,
-                ..ExpOptions::default()
-            },
-            tiny,
-            &dir,
-        );
-        assert!(out.contains("baseline recorded"), "{out}");
-        assert!(out.contains("| 7 "), "extra --threads row missing");
-        let json = std::fs::read_to_string(dir.join("BENCH_patterns.json")).unwrap();
-        for key in [
-            "\"experiment\": \"patterns\"",
-            "\"host_parallelism\"",
-            "\"recorded_on_single_cpu\"",
-            "\"speedup_meaningful\"",
-            "\"pattern\": \"4-loop\"",
-            "\"pattern\": \"2-triangle\"",
-            "\"pattern\": \"clique.h4\"",
-            "\"threads\": 1",
-            "\"threads\": 7",
-            "\"wall_ms\"",
-            "\"instances\"",
-            "\"speedup_vs_serial\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn fixture() -> std::path::PathBuf {
@@ -1619,11 +767,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn json_escape_handles_quotes_backslashes_and_controls() {
-        assert_eq!(json_escape("plain-name"), "plain-name");
-        assert_eq!(json_escape("we\"ird\\no"), "we\\\"ird\\\\no");
-        assert_eq!(json_escape("tab\there"), "tab\\u0009here");
+    /// Parses the recorded `BENCH_table2.json`; a file the shared
+    /// parser rejects fails the test.
+    fn read_table2_json(dir: &std::path::Path) -> (String, Json) {
+        let text = std::fs::read_to_string(dir.join("BENCH_table2.json")).unwrap();
+        let json = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        (text, json)
+    }
+
+    /// The single row of a one-dataset recording.
+    fn only_row(json: &Json) -> &Json {
+        let rows = json.get("rows").and_then(Json::as_array).unwrap();
+        assert_eq!(rows.len(), 1, "{json:?}");
+        &rows[0]
     }
 
     #[test]
@@ -1636,8 +792,13 @@ mod tests {
         std::fs::write(&manifest, "[we\"ird]\npath = \"g.txt\"\n").unwrap();
         let out = table2real_on(&TINY, &manifest, &dir);
         assert!(out.contains("recorded"), "{out}");
-        let json = std::fs::read_to_string(dir.join("BENCH_table2.json")).unwrap();
-        assert!(json.contains("\"dataset\": \"we\\\"ird\""), "{json}");
+        let (text, json) = read_table2_json(&dir);
+        let row = only_row(&json);
+        assert_eq!(
+            row.get("dataset").and_then(Json::as_str),
+            Some("we\"ird"),
+            "{text}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1658,27 +819,51 @@ mod tests {
         let out = table2real_on(&TINY, &manifest, &dir);
         assert!(out.contains("| figure2 "), "{out}");
         assert!(out.contains("not downloaded (skipped): absent"), "{out}");
-        let json = std::fs::read_to_string(dir.join("BENCH_table2.json")).unwrap();
-        for key in [
-            "\"experiment\": \"table2real\"",
-            "\"host_parallelism\"",
-            "\"recorded_on_single_cpu\"",
-            "\"dataset\": \"figure2\"",
-            "\"n\": 20",
-            "\"m\": 39",
-            "\"psi3\"",
-            "\"psi5\"",
-            "\"load_ms\"",
-            "\"from_cache\": false",
+        let (text, json) = read_table2_json(&dir);
+        assert_eq!(
+            json.get("experiment").and_then(Json::as_str),
+            Some("table2real"),
+            "{text}"
+        );
+        let host = json.get("host_parallelism").and_then(Json::as_u64);
+        assert!(host.is_some_and(|p| p >= 1), "{text}");
+        assert_eq!(
+            json.get("recorded_on_single_cpu").and_then(Json::as_bool),
+            Some(host == Some(1)),
+            "{text}"
+        );
+        let row = only_row(&json);
+        let figure2 = lhcds::data::figure2_graph();
+        for (key, want) in [
+            ("n", 20),
+            ("m", 39),
+            ("psi3", count_cliques(&figure2, 3)),
+            ("psi5", count_cliques(&figure2, 5)),
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert_eq!(
+                row.get(key).and_then(Json::as_u64),
+                Some(want),
+                "{key}: {text}"
+            );
         }
+        assert_eq!(row.get("dataset").and_then(Json::as_str), Some("figure2"));
+        assert!(
+            row.get("load_us").and_then(Json::as_u64).is_some(),
+            "{text}"
+        );
+        assert_eq!(row.get("from_cache").and_then(Json::as_bool), Some(false));
+
         // second run goes through the cache (and exercises the parallel
         // counting path, which is byte-identical to serial)
         let out = table2real_on(&ExpOptions { threads: 2, ..TINY }, &manifest, &dir);
         assert!(out.contains("cache"), "{out}");
-        let json = std::fs::read_to_string(dir.join("BENCH_table2.json")).unwrap();
-        assert!(json.contains("\"from_cache\": true"), "{json}");
+        let (text, json) = read_table2_json(&dir);
+        let row = only_row(&json);
+        assert_eq!(
+            row.get("from_cache").and_then(Json::as_bool),
+            Some(true),
+            "{text}"
+        );
 
         // when every present dataset fails, the recorded baseline must
         // NOT be clobbered with an empty rows array
@@ -1690,8 +875,8 @@ mod tests {
         let out = table2real_on(&TINY, &manifest, &dir);
         assert!(out.contains("FAILED"), "{out}");
         assert!(out.contains("left untouched"), "{out}");
-        let unchanged = std::fs::read_to_string(dir.join("BENCH_table2.json")).unwrap();
-        assert_eq!(unchanged, json, "good baseline must survive a failed run");
+        let (unchanged, _) = read_table2_json(&dir);
+        assert_eq!(unchanged, text, "good baseline must survive a failed run");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,14 +11,12 @@
 //!
 //! The `harness` binary drives the runners:
 //! `cargo run --release -p lhcds-bench --bin harness -- all`.
-//! Three experiments record committed `BENCH_*.json` baselines, each
-//! stamped with the recording host's [`measure::BenchProvenance`]:
-//! `kclist` (serial vs node-parallel enumeration, `BENCH_kclist.json`),
-//! `table2real` (statistics of locally-present real SNAP graphs,
-//! `BENCH_table2.json`; skips gracefully when none are downloaded), and
-//! `serve_qps` (query-daemon throughput/latency, `BENCH_serve.json`).
-//! The Criterion benches under `benches/` cover the same experiments at
-//! reduced scale for `cargo bench`.
+//! One experiment records a `BENCH_*.json` file, stamped with the
+//! recording host's [`measure::BenchProvenance`]: `table2real`
+//! (statistics of locally-present real SNAP graphs, `BENCH_table2.json`;
+//! skips gracefully when none are downloaded). The performance of the
+//! product surfaces (top-k, index build, serving) is measured by the
+//! gated benchmark under `benchmark/` (see `BENCHMARK.json`), not here.
 //!
 //! This crate is a top-layer consumer: everything reaches it through
 //! the `lhcds` facade, keeping the workspace DAG honest.

@@ -2,6 +2,7 @@
 //! allocator (Figure 15's memory experiment), and a markdown table
 //! builder for harness output.
 
+use lhcds::service::json::Json;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -47,21 +48,15 @@ pub fn current_bytes() -> usize {
     CURRENT.load(Ordering::Relaxed)
 }
 
-/// Host provenance stamped into every `BENCH_*.json` the harness
-/// records.
-///
-/// Wall-clock numbers only mean what the recording host lets them mean:
-/// a speedup column recorded on a single-CPU container is ~1.0x by
-/// construction, whatever the code does. Stamping
-/// `recorded_on_single_cpu` makes that caveat machine-readable, so a
-/// later perf PR comparing against a committed baseline can refuse to
-/// read a speedup column that never had a chance.
+/// Host provenance stamped into the `BENCH_table2.json` the harness
+/// records: wall-clock columns only mean what the recording host lets
+/// them mean, so the file says how many CPUs it was recorded on.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchProvenance {
     /// `std::thread::available_parallelism()` of the recording host.
     pub host_parallelism: usize,
-    /// True when the host had exactly one CPU — parallel speedup
-    /// columns in the same file are then meaningless.
+    /// True when the host had exactly one CPU, so `--threads` could not
+    /// speed anything up.
     pub recorded_on_single_cpu: bool,
 }
 
@@ -75,32 +70,16 @@ impl BenchProvenance {
         }
     }
 
-    /// The provenance fields as a JSON fragment (no surrounding braces),
-    /// ready to splice into a `BENCH_*.json` header.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"host_parallelism\": {}, \"recorded_on_single_cpu\": {}",
-            self.host_parallelism, self.recorded_on_single_cpu
-        )
-    }
-
-    /// The speedup honesty stamp for experiments whose rows carry
-    /// speedup columns: `false` on a single-CPU recording host, where
-    /// every wall-clock ratio is ~1.0x by construction and must not be
-    /// read as a real parallel gain.
-    pub fn speedup_fields(&self) -> String {
-        format!("\"speedup_meaningful\": {}", !self.recorded_on_single_cpu)
-    }
-
-    /// The matching human-readable caveat for the markdown report;
-    /// empty on genuinely multi-core hosts.
-    pub fn speedup_caveat(&self) -> &'static str {
-        if self.recorded_on_single_cpu {
-            "\n**caveat:** recorded with `host_parallelism == 1` — the speedup \
-             columns in this section cannot show real parallel gains.\n"
-        } else {
-            ""
-        }
+    /// The provenance fields as `(key, value)` pairs, ready to splice
+    /// into a `BENCH_*.json` object.
+    pub fn json_pairs(&self) -> [(&'static str, Json); 2] {
+        [
+            ("host_parallelism", Json::Int(self.host_parallelism as i128)),
+            (
+                "recorded_on_single_cpu",
+                Json::Bool(self.recorded_on_single_cpu),
+            ),
+        ]
     }
 }
 
@@ -220,19 +199,15 @@ mod tests {
         let p = BenchProvenance::detect();
         assert!(p.host_parallelism >= 1);
         assert_eq!(p.recorded_on_single_cpu, p.host_parallelism == 1);
-        let json = p.json_fields();
-        assert!(json.contains("\"host_parallelism\": "));
-        assert!(
-            json.contains("\"recorded_on_single_cpu\": true")
-                || json.contains("\"recorded_on_single_cpu\": false")
-        );
-        // the honesty stamp is the exact negation of the single-CPU flag
-        let speedup = p.speedup_fields();
+        let json = Json::object(p.json_pairs());
         assert_eq!(
-            speedup.contains("\"speedup_meaningful\": false"),
-            p.recorded_on_single_cpu
+            json.get("host_parallelism").and_then(Json::as_u64),
+            Some(p.host_parallelism as u64)
         );
-        assert_eq!(p.speedup_caveat().is_empty(), !p.recorded_on_single_cpu);
+        assert_eq!(
+            json.get("recorded_on_single_cpu").and_then(Json::as_bool),
+            Some(p.recorded_on_single_cpu)
+        );
     }
 
     #[test]

@@ -52,7 +52,8 @@ impl DatasetSpec {
 
     /// Generates a reduced-size variant (`scale ∈ (0, 1]` shrinks the
     /// background; communities are kept so the LhCDS structure
-    /// survives). Used by the Criterion benches to stay within budget.
+    /// survives). Used by the experiment harness (`--scale`) to stay
+    /// within budget.
     pub fn generate_scaled(&self, scale: f64) -> Dataset {
         assert!(scale > 0.0 && scale <= 1.0);
         let n = ((self.n as f64 * scale) as usize).max(64);

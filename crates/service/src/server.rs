@@ -35,8 +35,9 @@
 //!
 //! Everything is `std`: no async runtime, no network crates — the
 //! build is offline by constraint, and a thread-per-connection-slot
-//! model is plenty for a read-only in-memory index (see
-//! `BENCH_serve.json`).
+//! model is plenty for a read-only in-memory index (the
+//! `ha-h3-serve` workload of the benchmark under `benchmark/` measures
+//! its throughput and tail latency).
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};

@@ -494,6 +494,11 @@ fn stats_op_reports_shape_and_counters() {
         .unwrap();
     assert_eq!(topk.get("requests").unwrap().as_u64(), Some(2));
     assert_eq!(topk.get("errors").unwrap().as_u64(), Some(0));
+    // the latency histogram is wired to exactly the completed requests
+    assert_eq!(
+        topk.get("latency").unwrap().get("count").unwrap().as_u64(),
+        Some(2)
+    );
     for key in [
         "count", "sum_us", "min_us", "max_us", "p50_us", "p99_us", "p999_us",
     ] {
