@@ -50,10 +50,9 @@
 //! with capped exponential backoff and deterministic jitter.
 //!
 //! `--threads N` runs h-clique enumeration *and* the post-enumeration
-//! pipeline — CP round scaling and the speculative
-//! candidate-verification stream — on `N` worker threads (`0` =
-//! auto-detect); output is byte-identical to the serial default at
-//! every `N`.
+//! speculative candidate-verification stream on `N` worker threads
+//! (`0` = auto-detect); output is byte-identical to the serial default
+//! at every `N`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -107,8 +107,8 @@ pub(crate) fn root_sweep<F: FnMut(&[VertexId])>(
 /// `h == 1` yields every vertex; `h == 2` yields every edge.
 ///
 /// For a multi-threaded sweep over large graphs see
-/// [`crate::parallel::par_for_each_clique`], which emits the same clique
-/// multiset (callback order differs across threads).
+/// [`crate::CliqueSet::enumerate_with`], which stores the same cliques
+/// in the same order.
 ///
 /// # Panics
 /// Panics if `h == 0`.

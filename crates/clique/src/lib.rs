@@ -8,7 +8,7 @@
 //!   across scoped worker threads ([`Parallelism`] picks the count) with
 //!   per-shard accumulators merged deterministically in rank order, so
 //!   every counting/collecting entry point is byte-identical to its
-//!   serial twin. Callbacks here are `Fn + Sync` instead of `FnMut`.
+//!   serial twin.
 //! * [`store`] — [`CliqueSet`], an explicit flat store of all h-cliques
 //!   plus a per-vertex incidence index; the convex program
 //!   (SEQ-kClist++), the flow networks, and the verification algorithms
@@ -52,7 +52,6 @@ pub use crate::core::{clique_core, CliqueCore};
 pub use kclist::{count_cliques, count_per_vertex, for_each_clique};
 pub use maximal::{clique_number, for_each_maximal_clique, maximal_cliques};
 pub use parallel::{
-    par_collect_blocks, par_count_cliques, par_count_per_vertex, par_for_each_clique,
-    parallel_collect_invocations, Parallelism,
+    par_collect_blocks, par_count_cliques, parallel_collect_invocations, Parallelism,
 };
 pub use store::CliqueSet;

@@ -11,21 +11,21 @@
 //!
 //! ## Thread-safety contract
 //!
-//! * Callbacks are `Fn + Sync` (not `FnMut` as in the serial
-//!   [`for_each_clique`]): they are invoked concurrently from worker
-//!   threads and must synchronize any shared mutation themselves.
-//! * The emitted *multiset* of cliques is exactly the serial one; only
-//!   the callback interleaving differs across runs.
+//! * [`par_collect_blocks`]'s `emit` is `Fn + Sync` (not `FnMut` as
+//!   the serial [`for_each_clique`]'s callback): it is invoked
+//!   concurrently from worker threads, each call filling its own
+//!   buffer.
+//! * Each shard emits exactly the serial sweep's cliques for its roots;
+//!   only the interleaving of shards differs across runs.
 //!
 //! ## Deterministic merge
 //!
 //! Everything merge-based is bit-for-bit reproducible and equal to the
 //! serial result:
 //!
-//! * [`par_count_cliques`] / [`par_count_per_vertex`] fold per-shard
-//!   `u64` accumulators; integer addition is exact and commutative, and
-//!   partials are combined in shard order, so the results are
-//!   byte-identical to the serial counts.
+//! * [`par_count_cliques`] folds per-shard `u64` accumulators; integer
+//!   addition is exact and commutative, and partials are combined in
+//!   shard order, so the result is byte-identical to the serial count.
 //! * `collect_members` (behind `CliqueSet::enumerate_with`) stores one
 //!   member vector per *block* of consecutive roots and concatenates the
 //!   blocks in ascending rank order — the flat member array, and hence
@@ -41,7 +41,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::kclist::Scratch;
-use crate::kclist::{build_dag, count_cliques, count_per_vertex, for_each_clique, root_sweep};
+use crate::kclist::{build_dag, count_cliques, for_each_clique, root_sweep};
 use lhcds_graph::{CsrGraph, VertexId};
 
 /// Thread-count policy for clique enumeration.
@@ -86,13 +86,6 @@ impl Parallelism {
             threads: 0,
             min_vertices: Self::DEFAULT_MIN_VERTICES,
         }
-    }
-
-    /// Replaces the serial-fallback threshold (vertex count below which
-    /// enumeration stays single-threaded).
-    pub fn with_min_vertices(mut self, min_vertices: usize) -> Self {
-        self.min_vertices = min_vertices;
-        self
     }
 
     /// Worker count actually used for a graph with `n` vertices.
@@ -165,43 +158,6 @@ fn run_workers<T: Send>(threads: usize, worker: impl Fn(usize) -> T + Sync) -> V
     })
 }
 
-/// Invokes `f` once per h-clique of `g` from up to
-/// `par.effective_threads(g.n())` worker threads.
-///
-/// Same clique multiset and per-clique member order as
-/// [`for_each_clique`]; the interleaving of callbacks across cliques is
-/// unspecified. `f` must therefore be `Fn + Sync` and synchronize any
-/// shared state it mutates.
-///
-/// # Panics
-/// Panics if `h == 0`.
-pub fn par_for_each_clique<F>(g: &CsrGraph, h: usize, par: &Parallelism, f: F)
-where
-    F: Fn(&[VertexId]) + Sync,
-{
-    assert!(h >= 1, "h-cliques require h >= 1");
-    if g.n() == 0 {
-        return;
-    }
-    let threads = par.effective_threads(g.n());
-    if threads <= 1 || h == 1 {
-        // h == 1 is a pure vertex scan — never worth sharding.
-        for_each_clique(g, h, |c| f(c));
-        return;
-    }
-    let dag = build_dag(g);
-    let queue = BlockQueue::new(dag.out.len(), threads);
-    run_workers(threads, |_| {
-        let mut scratch = Scratch::new(h);
-        let mut call = |c: &[VertexId]| f(c);
-        while let Some((_, ranks)) = queue.claim() {
-            for r in ranks {
-                root_sweep(&dag, r, h, &mut scratch, &mut call);
-            }
-        }
-    });
-}
-
 /// Multi-threaded [`count_cliques`]: total number of h-cliques of `g`.
 ///
 /// Per-shard `u64` partials are summed in shard order — byte-identical
@@ -230,44 +186,6 @@ pub fn par_count_cliques(g: &CsrGraph, h: usize, par: &Parallelism) -> u64 {
     })
     .into_iter()
     .sum()
-}
-
-/// Multi-threaded [`count_per_vertex`]: per-vertex h-clique degrees
-/// `deg_G(v, ψh)`.
-///
-/// Each shard accumulates into its own dense `u64` vector; the vectors
-/// are added element-wise in shard order. `u64` addition is exact, so
-/// the result is byte-identical to the serial degree vector.
-pub fn par_count_per_vertex(g: &CsrGraph, h: usize, par: &Parallelism) -> Vec<u64> {
-    assert!(h >= 1, "h-cliques require h >= 1");
-    let threads = par.effective_threads(g.n());
-    if threads <= 1 || h == 1 || g.n() == 0 {
-        return count_per_vertex(g, h);
-    }
-    let dag = build_dag(g);
-    let queue = BlockQueue::new(dag.out.len(), threads);
-    let shards = run_workers(threads, |_| {
-        let mut scratch = Scratch::new(h);
-        let mut deg = vec![0u64; dag.out.len()];
-        let mut bump = |c: &[VertexId]| {
-            for &v in c {
-                deg[v as usize] += 1;
-            }
-        };
-        while let Some((_, ranks)) = queue.claim() {
-            for r in ranks {
-                root_sweep(&dag, r, h, &mut scratch, &mut bump);
-            }
-        }
-        deg
-    });
-    let mut total = vec![0u64; g.n()];
-    for shard in shards {
-        for (t, s) in total.iter_mut().zip(shard) {
-            *t += s;
-        }
-    }
-    total
 }
 
 /// Process-wide tally of threaded block-collect merges.
@@ -410,12 +328,6 @@ mod tests {
             1
         );
         assert!(p.effective_threads(Parallelism::DEFAULT_MIN_VERTICES) >= 1);
-        // the threshold is adjustable
-        let eager = Parallelism::auto().with_min_vertices(0);
-        assert!(eager.effective_threads(8) >= 1);
-        let lazy = Parallelism::threads(8).with_min_vertices(1_000);
-        assert_eq!(lazy.effective_threads(999), 1);
-        assert_eq!(lazy.effective_threads(1_000), 8);
     }
 
     #[test]
@@ -467,8 +379,6 @@ mod tests {
         let g = CsrGraph::from_edges(0, []);
         let p = Parallelism::threads(4);
         assert_eq!(par_count_cliques(&g, 3, &p), 0);
-        assert!(par_count_per_vertex(&g, 3, &p).is_empty());
-        par_for_each_clique(&g, 3, &p, |_| panic!("no cliques in empty graph"));
         assert!(collect_members(&g, 3, &p).is_empty());
     }
 

@@ -5,22 +5,16 @@
 //! 1, 2, 4, and 8 threads:
 //!
 //! * `par_count_cliques` equals `count_cliques`;
-//! * `par_count_per_vertex` is **byte-identical** to `count_per_vertex`
-//!   (`u64` accumulation is exact, so not even float-style tolerance is
-//!   needed);
-//! * the sorted multiset of cliques emitted through
-//!   `par_for_each_clique` equals the serial multiset;
 //! * `CliqueSet::enumerate_with` reproduces the serial store exactly —
-//!   same flat member array, clique ids, and incidence index.
+//!   same flat member array, clique ids, and incidence index — so its
+//!   sorted clique multiset equals the serial enumerator's and its
+//!   per-vertex degrees equal `count_per_vertex`.
 //!
 //! Run with `RUST_TEST_THREADS=1` (as CI does) to rule out test-runner
 //! interleaving masking nondeterminism in the enumerator itself.
 
-use std::sync::Mutex;
-
 use lhcds_clique::{
-    count_cliques, count_per_vertex, for_each_clique, par_count_cliques, par_count_per_vertex,
-    par_for_each_clique, CliqueSet, Parallelism,
+    count_cliques, count_per_vertex, for_each_clique, par_count_cliques, CliqueSet, Parallelism,
 };
 use lhcds_graph::{CsrGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
@@ -39,17 +33,16 @@ fn serial_multiset(g: &CsrGraph, h: usize) -> Vec<Vec<VertexId>> {
     cliques
 }
 
-/// Sorted multiset of cliques via the parallel enumerator. The shared
-/// accumulator is a `Mutex` — the callback is `Fn + Sync` and runs
-/// concurrently, so it must synchronize its own mutation.
-fn parallel_multiset(g: &CsrGraph, h: usize, par: &Parallelism) -> Vec<Vec<VertexId>> {
-    let acc: Mutex<Vec<Vec<VertexId>>> = Mutex::new(Vec::new());
-    par_for_each_clique(g, h, par, |c| {
-        let mut c = c.to_vec();
-        c.sort_unstable();
-        acc.lock().expect("collector poisoned").push(c);
-    });
-    let mut cliques = acc.into_inner().expect("collector poisoned");
+/// Sorted multiset of the cliques in a store.
+fn store_multiset(store: &CliqueSet) -> Vec<Vec<VertexId>> {
+    let mut cliques: Vec<Vec<VertexId>> = store
+        .iter()
+        .map(|c| {
+            let mut c = c.to_vec();
+            c.sort_unstable();
+            c
+        })
+        .collect();
     cliques.sort();
     cliques
 }
@@ -63,17 +56,12 @@ fn assert_equivalent(g: &CsrGraph, h: usize) {
     for t in THREAD_COUNTS {
         let par = Parallelism::threads(t);
         assert_eq!(par_count_cliques(g, h, &par), count, "count, threads={t}");
+        let par_store = CliqueSet::enumerate_with(g, h, &par);
         assert_eq!(
-            par_count_per_vertex(g, h, &par),
-            degrees,
-            "degrees, threads={t}"
-        );
-        assert_eq!(
-            parallel_multiset(g, h, &par),
+            store_multiset(&par_store),
             multiset,
             "multiset, threads={t}"
         );
-        let par_store = CliqueSet::enumerate_with(g, h, &par);
         assert_eq!(par_store.len(), store.len(), "store len, threads={t}");
         for i in 0..store.len() {
             assert_eq!(
@@ -87,6 +75,11 @@ fn assert_equivalent(g: &CsrGraph, h: usize) {
                 par_store.cliques_of(v),
                 store.cliques_of(v),
                 "incidence of {v}, threads={t}"
+            );
+            assert_eq!(
+                par_store.degree(v) as u64,
+                degrees[v as usize],
+                "degree of {v}, threads={t}"
             );
         }
     }
@@ -185,7 +178,9 @@ fn more_threads_than_vertices() {
     let g = complete(3);
     let par = Parallelism::threads(8);
     assert_eq!(par_count_cliques(&g, 2, &par), 3);
-    assert_eq!(par_count_per_vertex(&g, 3, &par), vec![1, 1, 1]);
+    let store = CliqueSet::enumerate_with(&g, 3, &par);
+    assert_eq!(store.len(), 1);
+    assert_eq!(store.members(0).len(), 3);
 }
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = CsrGraph> {
@@ -250,9 +245,7 @@ proptest! {
     #[test]
     fn parallel_runs_are_reproducible(g in arb_graph(12)) {
         let par = Parallelism::threads(4);
-        let a = par_count_per_vertex(&g, 3, &par);
-        let b = par_count_per_vertex(&g, 3, &par);
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(par_count_cliques(&g, 3, &par), par_count_cliques(&g, 3, &par));
         let s1 = CliqueSet::enumerate_with(&g, 3, &par);
         let s2 = CliqueSet::enumerate_with(&g, 3, &par);
         prop_assert_eq!(s1.len(), s2.len());

@@ -40,6 +40,28 @@
 //! (flow-independent) and uniform capacity scaling preserves them, the
 //! retained network answers exactly like a fresh one per probe —
 //! pinned against fresh solvers in this crate's integration tests.
+//!
+//! ## Pinned vertices
+//! Two kinds of probe pin vertices to one side of every minimum cut,
+//! each with the same "infinite" capacity at solve scale `D` (base
+//! scale `B = lcm(1..=h)`):
+//! `inf = h·D·(|Ψ| + |P| + 1) + ρh·D·(n + 1) + 1`.
+//!
+//! * **Source pins** ([`InstanceSolver::next_density_level`]'s higher
+//!   levels): `s → v = inf`.
+//! * **Sink pins** ([`InstanceSolver::max_source_side`], the fast
+//!   verifier's step on its retained clique-support network):
+//!   `s → v = 0` and `v → t = inf`.
+//!
+//! Every interior clique carries `h·D` of `s → v` capacity over its
+//! members and every boundary clique `Σ h·D/cnt = h·D`, so the all-sink
+//! cut costs at most `Σ_v deg(v)·D/B = h·D·(|Ψ| + |P|) < inf`; with the
+//! source pins instead, the cut whose source side is the pinned set
+//! costs at most that plus `ρh·D·n`, also below `inf`. A minimum cut
+//! therefore never cuts a pinned arc: a sink-pinned vertex never lies
+//! on a min-cut source side, a source-pinned one always does, and since
+//! no flow exceeds the minimum cut, no flow ever comes near a pinned
+//! capacity (it is never saturated and never retracted).
 
 use lhcds_clique::CliqueSet;
 use lhcds_flow::rational::lcm_up_to;
@@ -157,24 +179,19 @@ pub fn local_instance(cliques: &CliqueSet, set: &[VertexId]) -> (LocalInstance, 
 }
 
 /// A [`LocalInstance`] bundled with its lazily built, reusable flow
-/// network.
+/// network: the only builder of the Figure 6/7 gadget.
 ///
-/// Node layout (identical to the historical per-call builder): `0 = s`,
-/// `1..=n` local vertices, then interior clique nodes, then boundary
-/// clique nodes, `t` last. Gadget arcs (`v → ψ`, `ψ → v`) are *static*
-/// — expressed once at base scale `lcm(1..=h)`; the ρ-dependent
-/// terminal arcs (`s → v`, `v → t`) and the boundary in-arcs are
-/// *parametric* and re-tuned per probe. Every probe of every method
-/// reuses the same [`ParametricNetwork`], warm-starting when the
-/// capacity change is monotone and retracting the flow on decreases.
-///
-/// The instance parameter is generic over ownership: long-lived holders
-/// (the IPPV driver's [`crate::verify::BasicVerifier`], the
-/// dense-decomposition ladder) own their `LocalInstance`, while
-/// one-shot callers borrow it — neither pays a copy of the clique slab.
+/// Node layout: `0 = s`, `1..=n` local vertices, then interior clique
+/// nodes, then boundary clique nodes, `t` last. Gadget arcs (`v → ψ`,
+/// `ψ → v`) are *static* — expressed once at base scale `lcm(1..=h)`;
+/// the ρ-dependent terminal arcs (`s → v`, `v → t`) and the boundary
+/// in-arcs are *parametric* and re-tuned per probe. Every probe of
+/// every method reuses the same [`ParametricNetwork`], warm-starting
+/// when the capacity change is monotone and retracting the flow on
+/// decreases.
 #[derive(Debug, Clone)]
-pub struct InstanceSolver<I: std::borrow::Borrow<LocalInstance> = LocalInstance> {
-    inst: I,
+pub struct InstanceSolver {
+    inst: LocalInstance,
     net: Option<ParametricNetwork>,
     /// Per-vertex base-scale degree from interior and boundary cliques.
     deg: Vec<i128>,
@@ -182,22 +199,30 @@ pub struct InstanceSolver<I: std::borrow::Borrow<LocalInstance> = LocalInstance>
     boundary_in_base: Vec<i128>,
 }
 
-impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
-    /// Wraps `inst` (owned or borrowed); the network is built on the
-    /// first probe.
-    pub fn new(inst: I) -> InstanceSolver<I> {
-        let instance = inst.borrow();
-        let n = instance.n;
-        let h = instance.h as i128;
-        let base = lcm_up_to(instance.h as u32);
+/// Vertices a solve pins to one side of every minimum cut.
+#[derive(Clone, Copy)]
+enum Pins<'a> {
+    None,
+    /// `s → v` infinite: `v` on the source side.
+    Source(&'a [bool]),
+    /// `s → v = 0` and `v → t` infinite: `v` on the sink side.
+    Sink(&'a [bool]),
+}
+
+impl InstanceSolver {
+    /// Wraps `inst`; the network is built on the first probe.
+    pub fn new(inst: LocalInstance) -> InstanceSolver {
+        let n = inst.n;
+        let h = inst.h as i128;
+        let base = lcm_up_to(inst.h as u32);
         let mut deg = vec![0i128; n];
         let mut boundary_in_base = Vec::new();
-        for members in instance.full.chunks_exact(instance.h) {
+        for members in inst.full.chunks_exact(inst.h) {
             for &v in members {
                 deg[v as usize] += base;
             }
         }
-        for b in &instance.boundary {
+        for b in &inst.boundary {
             let cnt = b.inside.len() as i128;
             debug_assert!(cnt >= 1 && cnt < h, "boundary clique must straddle");
             let incap = h * base / cnt; // exact: cnt | lcm(1..=h)
@@ -216,7 +241,7 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
 
     /// The wrapped instance.
     pub fn instance(&self) -> &LocalInstance {
-        self.inst.borrow()
+        &self.inst
     }
 
     /// Builds the arc structure once; capacities are installed per
@@ -254,40 +279,32 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
         pn
     }
 
-    /// Re-tunes the network to threshold `rho` (optionally pinning
-    /// `forced` vertices to the source side with an effectively
-    /// infinite `s → v` capacity) and solves it.
-    fn solve(&mut self, rho: Ratio, forced: Option<&[bool]>) {
-        if self.net.is_none() {
-            self.net = Some(Self::build_network(self.inst.borrow()));
-        }
-        let (n, h, gadget_nodes) = {
-            let inst = self.inst.borrow();
-            (
-                inst.n,
-                inst.h as i128,
-                (inst.clique_count() + inst.boundary.len() + 1) as i128,
-            )
-        };
-        let pn = self.net.as_mut().expect("just built");
+    /// Re-tunes the network to threshold `rho` under `pins` and solves
+    /// it. The pin capacity is the module docs' `inf`.
+    fn solve(&mut self, rho: Ratio, pins: Pins<'_>) {
+        let inst = &self.inst;
+        let pn = self.net.get_or_insert_with(|| Self::build_network(inst));
+        let n = inst.n;
+        let h = inst.h as i128;
+        let gadget_nodes = (inst.clique_count() + inst.boundary.len() + 1) as i128;
         let scale = pn.scale_for(rho.den());
         let factor = scale / pn.base_scale();
         let vt_cap = (rho * Ratio::from_int(h)).scale_to_int(scale);
         assert!(vt_cap >= 0, "threshold must be non-negative");
-        // "infinite" = more than any finite cut can carry
         let inf = (h * scale)
             .saturating_mul(gadget_nodes)
             .saturating_add(vt_cap.saturating_mul(n as i128 + 1))
             .saturating_add(1);
         let mut caps = Vec::with_capacity(pn.param_count());
-        for v in 0..n {
-            caps.push(if forced.is_some_and(|f| f[v]) {
-                inf
-            } else {
-                self.deg[v] * factor
-            });
-        }
-        caps.resize(2 * n, vt_cap);
+        caps.extend((0..n).map(|v| match pins {
+            Pins::Source(f) if f[v] => inf,
+            Pins::Sink(f) if f[v] => 0,
+            _ => self.deg[v] * factor,
+        }));
+        caps.extend((0..n).map(|v| match pins {
+            Pins::Sink(f) if f[v] => inf,
+            _ => vt_cap,
+        }));
         caps.extend(self.boundary_in_base.iter().map(|&incap| incap * factor));
         pn.solve(scale, &caps);
     }
@@ -303,7 +320,7 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
         if self.instance().n == 0 {
             return Vec::new();
         }
-        self.solve(rho, None);
+        self.solve(rho, Pins::None);
         let side = self.net.as_ref().expect("solved").min_cut_source_side();
         self.vertex_side(&side)
     }
@@ -318,15 +335,30 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
     /// maximal h-clique `ρ`-compact subgraphs (Theorem 5) — the maximal
     /// min-cut source side at the perturbed threshold.
     pub fn derive_compact(&mut self, rho: Ratio) -> Vec<bool> {
-        let n = self.instance().n;
+        let n = self.inst.n;
         if n == 0 {
             return Vec::new();
         }
-        let eps = Ratio::new(1, (n as i128) * (n as i128));
-        let thr = (rho - eps).max(Ratio::zero());
-        self.solve(thr, None);
+        self.solve(perturbed(rho, n), Pins::None);
         let side = self.net.as_ref().expect("solved").max_cut_source_side();
         self.vertex_side(&side)
+    }
+
+    /// The maximal min-cut source side at threshold `thr`, with every
+    /// vertex of `sink` pinned to the sink side (`s → v = 0`, `v → t`
+    /// infinite; module docs). Pinned vertices are never kept. The
+    /// unpinned ones keep their whole-instance `s → v` degree, and on an
+    /// instance without boundary cliques the kept set equals the one the
+    /// network of the sub-instance induced on them keeps at the same
+    /// threshold ([`crate::verify`] module docs): the fast verifier's
+    /// flow step on a retained network.
+    pub fn max_source_side(&mut self, thr: Ratio, sink: &[bool]) -> Vec<bool> {
+        debug_assert_eq!(sink.len(), self.inst.n);
+        self.solve(thr, Pins::Sink(sink));
+        let side = self.net.as_ref().expect("solved").max_cut_source_side();
+        let kept = self.vertex_side(&side);
+        debug_assert!(kept.iter().zip(sink).all(|(&k, &p)| !(k && p)));
+        kept
     }
 
     /// Exact densest-subgraph decomposition of the local universe by
@@ -393,7 +425,7 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
         let mut guard = 0usize;
         let mut best = rho;
         loop {
-            self.solve(rho, Some(forced));
+            self.solve(rho, Pins::Source(forced));
             let side = self.net.as_ref().expect("solved").min_cut_source_side();
             let set = self.vertex_side(&side);
             let new_count = set
@@ -418,14 +450,18 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
         }
 
         // Largest maximizer at the final level (ε-perturbed threshold).
-        let eps = Ratio::new(1, (n as i128) * (n as i128));
-        let thr = (best - eps).max(Ratio::zero());
-        self.solve(thr, Some(forced));
+        self.solve(perturbed(best, n), Pins::Source(forced));
         let side = self.net.as_ref().expect("solved").max_cut_source_side();
         let level: Vec<bool> = (0..n).map(|v| side[v + 1] && !forced[v]).collect();
         debug_assert!(level.iter().any(|&b| b), "level must be non-empty");
         Some((best, level))
     }
+}
+
+/// `max(ρ − 1/n², 0)`: the `DeriveCompact` threshold on `n` vertices.
+fn perturbed(rho: Ratio, n: usize) -> Ratio {
+    let n = n as i128;
+    (rho - Ratio::new(1, n * n)).max(Ratio::zero())
 }
 
 /// Number of interior cliques fully inside `set` plus boundary cliques
@@ -490,9 +526,9 @@ mod tests {
         let inst = instance_of(&complete(6), 3);
         let rho = inst.density().unwrap();
         assert_eq!(rho, Ratio::new(20, 6));
-        assert!(InstanceSolver::new(&inst).is_densest(rho));
+        assert!(InstanceSolver::new(inst.clone()).is_densest(rho));
         // but not densest at any smaller threshold
-        assert!(!InstanceSolver::new(&inst).is_densest(rho - Ratio::new(1, 100)));
+        assert!(!InstanceSolver::new(inst.clone()).is_densest(rho - Ratio::new(1, 100)));
     }
 
     #[test]
@@ -508,9 +544,9 @@ mod tests {
         let inst = instance_of(&b.build(), 3);
         let rho = inst.density().unwrap();
         assert_eq!(rho, Ratio::new(10, 6));
-        assert!(!InstanceSolver::new(&inst).is_densest(rho));
+        assert!(!InstanceSolver::new(inst.clone()).is_densest(rho));
         // the excess set is exactly the K5
-        let set = InstanceSolver::new(&inst).max_excess_set(rho);
+        let set = InstanceSolver::new(inst.clone()).max_excess_set(rho);
         assert_eq!(set, vec![true, true, true, true, true, false]);
     }
 
@@ -524,7 +560,9 @@ mod tests {
         }
         b.add_edge(4, 5).add_edge(5, 6);
         let inst = instance_of(&b.build(), 3);
-        let (rho, members) = InstanceSolver::new(&inst).densest_decomposition().unwrap();
+        let (rho, members) = InstanceSolver::new(inst.clone())
+            .densest_decomposition()
+            .unwrap();
         assert_eq!(rho, Ratio::from_int(2)); // 10 triangles / 5 vertices
         assert_eq!(members, vec![true, true, true, true, true, false, false]);
     }
@@ -542,7 +580,9 @@ mod tests {
             }
         }
         let inst = instance_of(&b.build(), 3);
-        let (rho, members) = InstanceSolver::new(&inst).densest_decomposition().unwrap();
+        let (rho, members) = InstanceSolver::new(inst.clone())
+            .densest_decomposition()
+            .unwrap();
         assert_eq!(rho, Ratio::from_int(1));
         assert!(members.iter().all(|&m| m));
     }
@@ -551,7 +591,9 @@ mod tests {
     fn clique_free_universe_has_no_decomposition() {
         let g = CsrGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
         let inst = instance_of(&g, 3);
-        assert!(InstanceSolver::new(&inst).densest_decomposition().is_none());
+        assert!(InstanceSolver::new(inst.clone())
+            .densest_decomposition()
+            .is_none());
     }
 
     #[test]
@@ -568,10 +610,12 @@ mod tests {
             }
         }
         let inst = instance_of(&b.build(), 3);
-        let (rho, members) = InstanceSolver::new(&inst).densest_decomposition().unwrap();
+        let (rho, members) = InstanceSolver::new(inst.clone())
+            .densest_decomposition()
+            .unwrap();
         assert_eq!(rho, Ratio::new(13, 6));
         assert!(members.iter().all(|&m| m));
-        assert!(InstanceSolver::new(&inst).is_densest(rho));
+        assert!(InstanceSolver::new(inst.clone()).is_densest(rho));
     }
 
     #[test]
@@ -588,13 +632,13 @@ mod tests {
         let all = vec![true, true];
         assert_eq!(count_inside(&inst, &all), 1);
         // at rho = 1/2 the pair is exactly compact: no denser subset
-        assert!(InstanceSolver::new(&inst).is_densest(Ratio::new(1, 2)));
+        assert!(InstanceSolver::new(inst.clone()).is_densest(Ratio::new(1, 2)));
         // at a smaller threshold the pair (or a single vertex) has
         // positive excess
-        let set = InstanceSolver::new(&inst).max_excess_set(Ratio::new(1, 3));
+        let set = InstanceSolver::new(inst.clone()).max_excess_set(Ratio::new(1, 3));
         assert!(set.iter().any(|&b| b));
         // derive_compact at 1/2 keeps both members
-        let kept = InstanceSolver::new(&inst).derive_compact(Ratio::new(1, 2));
+        let kept = InstanceSolver::new(inst.clone()).derive_compact(Ratio::new(1, 2));
         assert_eq!(kept, vec![true, true]);
     }
 
@@ -609,7 +653,7 @@ mod tests {
         }
         b.add_edge(4, 5);
         let inst = instance_of(&b.build(), 3);
-        let kept = InstanceSolver::new(&inst).derive_compact(Ratio::from_int(2));
+        let kept = InstanceSolver::new(inst.clone()).derive_compact(Ratio::from_int(2));
         assert_eq!(kept, vec![true, true, true, true, true, false]);
     }
 
@@ -626,10 +670,10 @@ mod tests {
         }
         b.add_edge(4, 5).add_edge(5, 6);
         let inst = instance_of(&b.build(), 3);
-        let mut retained = InstanceSolver::new(&inst);
+        let mut retained = InstanceSolver::new(inst.clone());
         assert_eq!(
             retained.densest_decomposition(),
-            InstanceSolver::new(&inst).densest_decomposition()
+            InstanceSolver::new(inst.clone()).densest_decomposition()
         );
         // (the work-counter contracts — one network per ladder, no
         // resets along it — live in the integration tests, which own
@@ -641,7 +685,7 @@ mod tests {
             Ratio::from_int(2),
             Ratio::new(10, 6),
         ] {
-            let fresh = || InstanceSolver::new(&inst);
+            let fresh = || InstanceSolver::new(inst.clone());
             assert_eq!(retained.max_excess_set(rho), fresh().max_excess_set(rho));
             assert_eq!(retained.derive_compact(rho), fresh().derive_compact(rho));
             assert_eq!(retained.is_densest(rho), fresh().is_densest(rho));
@@ -656,10 +700,10 @@ mod tests {
             full: Vec::new(),
             boundary: Vec::new(),
         };
-        assert!(InstanceSolver::new(&inst)
+        assert!(InstanceSolver::new(inst.clone())
             .max_excess_set(Ratio::from_int(1))
             .is_empty());
-        assert!(InstanceSolver::new(&inst)
+        assert!(InstanceSolver::new(inst.clone())
             .derive_compact(Ratio::from_int(1))
             .is_empty());
         assert!(inst.density().is_none());

@@ -220,7 +220,7 @@ mod tests {
         let (inst, map) = local_instance(&cliques, &all);
         let mut forced = vec![false; inst.n];
         for level in &d.levels {
-            let (rho, mask) = InstanceSolver::new(&inst)
+            let (rho, mask) = InstanceSolver::new(inst.clone())
                 .next_density_level(&forced)
                 .expect("one more level");
             let vertices: Vec<VertexId> =

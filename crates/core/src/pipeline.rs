@@ -55,11 +55,11 @@
 
 use crate::bounds::{initialize_bounds, Bounds, DEFAULT_SLACK};
 use crate::compact::{local_instance, InstanceSolver};
-use crate::cp::seq_kclist_pp_threaded;
+use crate::cp::seq_kclist_pp;
 use crate::decompose::tentative_gd;
 use crate::prune::prune;
 use crate::stable::derive_stable_groups;
-use crate::verify::{verify_fast_with, BasicVerifier, FastConfig, FastVerifier, Verdict};
+use crate::verify::{verify_fast_with, FastConfig, SupportVerifier, Verdict};
 use lhcds_clique::{CliqueSet, Parallelism};
 use lhcds_flow::Ratio;
 use lhcds_graph::traversal::components_within;
@@ -185,7 +185,7 @@ pub fn top_k_lhcds(g: &CsrGraph, h: usize, k: usize, cfg: &IppvConfig) -> IppvRe
 
 /// [`top_k_lhcds`] with every flow-deciding fast verification on its own
 /// per-candidate reduced network (`verify_fast_with(.., None)`) instead
-/// of the shared memoized [`FastVerifier`]: the oracle the production
+/// of the shared memoized [`SupportVerifier`]: the oracle the production
 /// path is tested against. Same driver, same verify schedule, same
 /// answers; only the flow work differs.
 #[doc(hidden)]
@@ -250,11 +250,7 @@ fn run_pipeline(
 
     let groups: Vec<Vec<VertexId>> = if cfg.use_cp {
         let sp = lhcds_obs::span("cp");
-        let mut state = seq_kclist_pp_threaded(
-            cliques,
-            cfg.cp_iterations,
-            cfg.parallelism.effective_threads(g.n()),
-        );
+        let mut state = seq_kclist_pp(cliques, cfg.cp_iterations);
         stats.cp_ms = sp.elapsed_ms();
         sp.counter("iterations", cfg.cp_iterations as u64);
         drop(sp);
@@ -318,8 +314,7 @@ fn run_pipeline(
         failed_memo: std::collections::HashSet::new(),
         buffer: Vec::new(),
         results: Vec::new(),
-        basic: None,
-        fast_shared: None,
+        support: None,
         share_fast,
         threads: cfg.parallelism.effective_threads(g.n()),
         decomp_cache: std::collections::HashMap::new(),
@@ -389,15 +384,13 @@ struct Driver<'a> {
     /// blocking superset weaves through already-output regions); it is
     /// deferred and later resolved exactly in escalated mode.
     failed_memo: std::collections::HashSet<(Vec<VertexId>, Ratio)>,
-    /// Whole-graph basic verifier, built lazily on first use so its
-    /// Figure 6 network (the same arcs for every candidate — only ρ
-    /// differs) is constructed once per run, not once per verification.
-    basic: Option<BasicVerifier>,
-    /// Shared memoized network for the fast verifier's flow-deciding
-    /// calls, built lazily on first use. Boundary-clique inflation
-    /// keeps the per-candidate reduced networks.
-    fast_shared: Option<FastVerifier>,
-    /// Whether `fast_shared` is engaged (false only for
+    /// The one clique-support network both verifiers solve on, built
+    /// lazily on the first flow-deciding verification, so it is
+    /// constructed once per run, not once per verification.
+    /// Boundary-clique inflation keeps the per-candidate reduced
+    /// networks.
+    support: Option<SupportVerifier>,
+    /// Whether the fast verifier uses `support` (false only for
     /// [`top_k_reference`], the per-candidate oracle).
     share_fast: bool,
     /// Worker threads for the verification stream (1 = serial driver).
@@ -708,7 +701,7 @@ impl<'a> Driver<'a> {
             // network — built lazily inside the flow tail, so
             // shortcut-resolved candidates never build it;
             // boundary-clique inflation keeps per-candidate networks.
-            let shared = self.share_fast.then_some(&mut self.fast_shared);
+            let shared = self.share_fast.then_some(&mut self.support);
             let (verdict, info) = verify_fast_with(
                 self.g,
                 self.cliques,
@@ -718,7 +711,6 @@ impl<'a> Driver<'a> {
                 &self.output,
                 &FastConfig {
                     boundary_cliques: self.cfg.boundary_cliques,
-                    need_superset: true,
                 },
                 shared,
             );
@@ -737,8 +729,8 @@ impl<'a> Driver<'a> {
             verdict
         } else {
             self.stats.flow_verifications += 1;
-            self.basic
-                .get_or_insert_with(|| BasicVerifier::new(self.cliques))
+            self.support
+                .get_or_insert_with(|| SupportVerifier::new(self.cliques))
                 .verify(self.g, &m, rho)
         };
         match verdict {
@@ -788,7 +780,6 @@ impl<'a> Driver<'a> {
                     self.push_candidate(c, false);
                 }
             }
-            Verdict::NotMaximal => unreachable!("driver always requests the superset"),
         }
     }
 

@@ -7,11 +7,11 @@
 //! `ρ`-compact supergraph of `S` exists in `G` (Definition 2, condition
 //! 2).
 //!
-//! * [`verify_basic`] builds the Figure 6 flow network over the whole
-//!   graph: `DeriveCompact(G, ρ − 1/|V|², ∅)` returns the union of all
-//!   maximal `ρ`-compact subgraphs (Theorem 5); `S` is an LhCDS iff it
-//!   is one of its connected components.
-//! * [`verify_fast`] (Algorithm 5) restricts the network to the
+//! * [`SupportVerifier::verify`] (Algorithm 4) runs
+//!   `DeriveCompact(G, ρ − 1/|V|², ∅)`, the union of all maximal
+//!   `ρ`-compact subgraphs (Theorem 5); `S` is an LhCDS iff it is one of
+//!   its connected components.
+//! * [`verify_fast_with`] (Algorithm 5) restricts the network to the
 //!   neighborhood `T` that could possibly host a `ρ`-compact supergraph:
 //!   every vertex of a `ρ`-compact subgraph has compact number `≥ ρ`, so
 //!   a BFS from `S` across vertices with upper bound `φ̄(w) ≥ ρ`
@@ -36,40 +36,55 @@
 //!   straddling cliques anyway — the Figure 7 network with `h/cnt`
 //!   capacities — for the ablation benchmarks.
 //!
-//! ## Why the shared networks are exact
+//! ## Why the shared network is exact
 //!
-//! The shared networks ([`BasicVerifier`], [`FastVerifier`]) are
-//! built on the **clique support** `U = {v : cliques.degree(v) > 0}`,
-//! never on all of `V`. Every threshold they solve at is strictly
-//! positive: `S` holds at least one instance, so `ρ ≥ 1/|S|`, while
-//! the perturbation is `1/|T|² < 1/|S|` because `|T| ≥ |S| ≥ h ≥ 2`
-//! (the basic verifier's `1/|U|²` likewise). A vertex outside `U`
-//! would add its positive `v → t` capacity to any cut that keeps it on
-//! the source side and no clique arc to any cut that drops it, so no
-//! maximal min-cut source side ever contains it: dropping it from the
-//! network changes no kept set. For the basic verifier, Theorem 5
-//! applied to `G[U]` (which holds every instance) gives the union of
-//! maximal `ρ`-compact subgraphs at `ε = 1/|U|²`, and that union is the
-//! same in `G`, since no vertex outside `U` lies in a `ρ`-compact
-//! subgraph for `ρ > 0`.
+//! Both algorithms run on **one** network: the Figure 6 network of a
+//! [`SupportVerifier`], built once per run by [`InstanceSolver`] on the
+//! **clique support** `U = {v : cliques.degree(v) > 0}`, never on all
+//! of `V`.
 //!
-//! [`FastVerifier`] also **memoizes** each flow-deciding call by the
-//! exact key `(ρ, sorted T)`. The simulated network's capacities are a
-//! function of `T`, `ρ` and the fixed instance store alone — the
-//! bounds and the output mask only shape `T`, never a capacity — and
-//! the maximal min-cut source side is canonical (the union of all
-//! minimum cuts' source sides), whatever flow the retained network
-//! carried in from earlier candidates. So the same key always yields
-//! the same kept set, and its connected components can be stored and
-//! looked up instead of re-solved. The per-candidate reduced network
-//! (`verify_fast_with(.., None)`) is the oracle both mechanisms are
-//! tested against.
+//! * **Support.** Every threshold either algorithm solves at is
+//!   strictly positive: `S` holds at least one instance, so
+//!   `ρ ≥ 1/|S|`, while the perturbation is `1/|T|² < 1/|S|` because
+//!   `|T| ≥ |S| ≥ h ≥ 2` (Algorithm 4's `1/|U|²` likewise). A vertex
+//!   outside `U` would add its positive `v → t` capacity to any cut
+//!   that keeps it on the source side and no clique arc to any cut that
+//!   drops it, so no maximal min-cut source side ever contains it:
+//!   dropping it from the network changes no kept set. For Algorithm 4,
+//!   Theorem 5 applied to `G[U]` (which holds every instance) gives the
+//!   union of maximal `ρ`-compact subgraphs at `ε = 1/|U|²`, and that
+//!   union is the same in `G`, since no vertex outside `U` lies in a
+//!   `ρ`-compact subgraph for `ρ > 0`.
+//! * **Algorithm 4** is `DeriveCompact(ρ)` on the whole network.
+//! * **Algorithm 5** sink-pins every support vertex outside `T`
+//!   ([`InstanceSolver::max_source_side`]) and solves at
+//!   `ρ − 1/|T|²`. Members of `T` keep their whole-graph clique degree
+//!   on `s → v`. A clique `c` straddling `T`'s boundary then adds
+//!   `|A ∩ c|` (linear) to every cut with source side `A ⊆ T`, which
+//!   cancels against those degrees: the cut function over `A` differs
+//!   from the reduced network over `G[T]`'s by a constant, so the
+//!   min-cut source sides (the canonical maximal one included) coincide
+//!   bit-identically. Clique-free members of `T` enter only through
+//!   `|T|` in the perturbation.
+//!
+//! Re-tunes retract the retained flow instead of resetting it, so the
+//! flow survives from candidate to candidate. Algorithm 5 also
+//! **memoizes** each flow-deciding call by the exact key
+//! `(ρ, sorted T)`. The network's capacities are a function of `T`, `ρ`
+//! and the fixed instance store alone — the bounds and the output mask
+//! only shape `T`, never a capacity — and the maximal min-cut source
+//! side is canonical (the union of all minimum cuts' source sides),
+//! whatever flow the retained network carried in from earlier
+//! candidates. So the same key always yields the same kept set, and its
+//! connected components can be stored and looked up instead of
+//! re-solved. Algorithm 4 has no memo. The per-candidate reduced
+//! network (`verify_fast_with(.., None)`) is the oracle the shared
+//! network is tested against.
 
 use crate::bounds::Bounds;
 use crate::compact::{local_instance, BoundaryClique, InstanceSolver, LocalInstance};
 use lhcds_clique::CliqueSet;
-use lhcds_flow::rational::lcm_up_to;
-use lhcds_flow::{ParametricNetwork, Ratio};
+use lhcds_flow::Ratio;
 use lhcds_graph::traversal::components_within;
 use lhcds_graph::{CsrGraph, VertexId};
 use std::collections::HashMap;
@@ -83,35 +98,32 @@ pub enum Verdict {
     /// connected component of the union of maximal `ρ`-compact
     /// subgraphs that contains `S` (parent vertex ids, sorted).
     Superset(Vec<VertexId>),
-    /// `S` is provably not maximal (early bound-based reject); the
-    /// superset was not computed because the caller did not ask for it.
-    NotMaximal,
 }
 
 /// Counters describing how a fast verification was decided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastVerifyInfo {
-    /// BFS frontier size `|T|` (0 when rejected before expansion ended).
+    /// BFS closure size `|T|`.
     pub t_size: usize,
     /// Whether `DeriveCompact` decided the verdict (a network solve, or
-    /// a [`FastVerifier`] memo hit on the same `(ρ, T)`).
+    /// a [`SupportVerifier`] memo hit on the same `(ρ, T)`).
     pub used_flow: bool,
-    /// Whether a [`FastVerifier`] memo hit answered without a solve.
+    /// Whether a [`SupportVerifier`] memo hit answered without a solve.
     pub memo_hit: bool,
     /// Whether the shortcut accept fired (`T == S`).
     pub shortcut_accept: bool,
     /// Whether an early bound-based reject fired.
     pub early_reject: bool,
     /// Interior cliques in the reduced network (0 when the shared
-    /// network of a [`FastVerifier`] answered instead — no reduced
+    /// network of a [`SupportVerifier`] answered instead — no reduced
     /// network is materialized there).
     pub local_cliques: usize,
     /// Boundary cliques added to the reduced network.
     pub boundary_cliques: usize,
 }
 
-/// Options for [`verify_fast`].
-#[derive(Debug, Clone, Copy)]
+/// Options for [`verify_fast_with`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FastConfig {
     /// Add straddling cliques to the reduced network with the Figure 7
     /// `h/cnt` capacities. Off by default: under this crate's (larger,
@@ -120,53 +132,44 @@ pub struct FastConfig {
     /// true LhCDS — the switch exists for the ablation benchmarks only
     /// (see DESIGN.md).
     pub boundary_cliques: bool,
-    /// When false, an early reject returns [`Verdict::NotMaximal`]
-    /// without computing the superset (cheaper; used by benchmarks).
-    /// When true, the flow still runs so the caller gets the superset.
-    pub need_superset: bool,
 }
 
-impl Default for FastConfig {
-    fn default() -> Self {
-        FastConfig {
-            boundary_cliques: false,
-            need_superset: true,
-        }
-    }
-}
-
-/// The basic verifier (Algorithm 4) with its flow network retained
-/// across calls.
+/// Both verifiers' flow step on **one** retained Figure 6 network over
+/// the clique support (exactness: module docs).
 ///
-/// Every `verify_basic` invocation historically rebuilt the full
-/// Figure 6 network over *all* of `G` — identical arcs every time, only
-/// the threshold ρ differs between candidates. `BasicVerifier` builds
-/// the [`InstanceSolver`] once, on the clique support (see the module
-/// docs), and re-tunes it per call; the IPPV driver holds one instance
-/// for its whole run when configured with the basic verifier (the
-/// dominant cost of the flow-only baselines).
+/// Algorithm 4 ([`SupportVerifier::verify`]) solves the whole network;
+/// Algorithm 5 ([`verify_fast_with`] with a slot for this type) pins
+/// the support outside each candidate's `T` to the sink side and
+/// memoizes the connected components of each kept set by `(ρ, sorted T)`.
+/// The driver owns one per run and never shares it across threads.
 #[derive(Debug)]
-pub struct BasicVerifier {
+pub struct SupportVerifier {
     solver: InstanceSolver,
-    /// local → parent mapping of the support instance.
+    /// local → parent ids (ascending); its inverse is a binary search.
     map: Vec<VertexId>,
+    /// `(ρ, sorted T)` → connected components of the kept set.
+    memo: HashMap<(Ratio, Vec<VertexId>), Vec<Vec<VertexId>>>,
 }
 
-impl BasicVerifier {
+impl SupportVerifier {
     /// Builds the support instance once; its network is built on the
-    /// first verification.
-    pub fn new(cliques: &CliqueSet) -> BasicVerifier {
-        let (inst, map) = local_instance(cliques, &clique_support(cliques));
+    /// first solve.
+    pub fn new(cliques: &CliqueSet) -> SupportVerifier {
+        let support: Vec<VertexId> = (0..cliques.n() as VertexId)
+            .filter(|&v| cliques.degree(v) > 0)
+            .collect();
+        let (inst, map) = local_instance(cliques, &support);
         debug_assert_eq!(inst.clique_count(), cliques.len());
-        BasicVerifier {
+        SupportVerifier {
             solver: InstanceSolver::new(inst),
             map,
+            memo: HashMap::new(),
         }
     }
 
     /// Basic verification (Algorithm 4): `DeriveCompact` over the
-    /// support. `s_sorted` must be sorted ascending. Returns `Lhcds` or
-    /// `Superset(X)`.
+    /// support, no memo. `s_sorted` must be sorted ascending and `g` the
+    /// graph the clique store was enumerated from.
     pub fn verify(&mut self, g: &CsrGraph, s_sorted: &[VertexId], rho: Ratio) -> Verdict {
         debug_assert!(s_sorted.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(
@@ -179,128 +182,33 @@ impl BasicVerifier {
             "DeriveCompact threshold must be positive"
         );
         let membership = self.solver.derive_compact(rho);
-        let kept: Vec<VertexId> = self
-            .map
-            .iter()
-            .zip(&membership)
-            .filter(|&(_, &m)| m)
-            .map(|(&v, _)| v)
-            .collect();
-        component_verdict(s_sorted, &components_within(g, &kept))
+        component_verdict(s_sorted, &components_within(g, &self.kept(&membership)))
     }
-}
 
-/// The clique support `{v : cliques.degree(v) > 0}`, ascending: the
-/// universe of both shared verifier networks.
-fn clique_support(cliques: &CliqueSet) -> Vec<VertexId> {
-    (0..cliques.n() as VertexId)
-        .filter(|&v| cliques.degree(v) > 0)
-        .collect()
-}
-
-/// Basic verification (Algorithm 4) as a one-shot call: builds a
-/// throwaway [`BasicVerifier`]. Repeated callers should hold a
-/// `BasicVerifier` so all candidates share one network.
-pub fn verify_basic(
-    g: &CsrGraph,
-    cliques: &CliqueSet,
-    s_sorted: &[VertexId],
-    rho: Ratio,
-) -> Verdict {
-    BasicVerifier::new(cliques).verify(g, s_sorted, rho)
-}
-
-/// The fast verifier's flow step on **one** shared network, memoized.
-///
-/// Historically every flow-deciding [`verify_fast`] call built a fresh
-/// reduced network over its own `T`. The candidates differ, but their
-/// networks are all fragments of the same Figure 6 shape; `FastVerifier`
-/// builds the network once, over the clique support, and *simulates*
-/// each candidate's reduced network with parametric terminal capacities
-/// alone:
-///
-/// * `v ∈ T` — `s → v` carries the whole-graph clique degree and
-///   `v → t` the threshold `(ρ − 1/|T|²)·h`, exactly like the reduced
-///   network;
-/// * `v ∉ T` — `s → v` drops to 0 and `v → t` becomes effectively
-///   infinite, pinning the vertex to the sink side of every min-cut.
-///
-/// With the outside pinned, a clique `c` straddling `T`'s boundary
-/// contributes `|A ∩ c|` (linear) to every cut with source side
-/// `A ⊆ T`, which cancels against the whole-graph `s → v` degrees — the
-/// cut function over `A` differs from the reduced network's by a
-/// constant. Min-cut source sides (the canonical maximal one included)
-/// therefore coincide with the reduced network's, bit-identically.
-///
-/// The per-candidate re-tunes retract the retained flow instead of
-/// resetting it ([`ParametricNetwork::solve`]), so the flow survives
-/// from candidate to candidate, as along a decomposition ladder. Each
-/// solved `(ρ, T)` is memoized with the connected components of its kept set,
-/// so a recurring pair costs a lookup (exactness: module docs). The
-/// driver owns one `FastVerifier` per run and never shares it across
-/// threads. Only valid for the default Figure 6 configuration (no
-/// boundary-clique inflation); [`verify_fast_with`] falls back to the
-/// per-candidate path when `FastConfig::boundary_cliques` is set.
-#[derive(Debug)]
-pub struct FastVerifier {
-    net: ParametricNetwork,
-    /// Whole-graph clique degree per local vertex, at the base scale.
-    deg: Vec<i128>,
-    /// local → parent ids (ascending).
-    map: Vec<VertexId>,
-    /// parent → local (`u32::MAX` outside the support).
-    local: Vec<u32>,
-    h: i128,
-    /// `(ρ, sorted T)` → connected components of the kept set.
-    memo: HashMap<(Ratio, Vec<VertexId>), Vec<Vec<VertexId>>>,
-}
-
-impl FastVerifier {
-    /// Builds the shared network once, on the clique support.
-    pub fn new(cliques: &CliqueSet) -> FastVerifier {
-        let (inst, map) = local_instance(cliques, &clique_support(cliques));
-        debug_assert_eq!(inst.clique_count(), cliques.len());
-        let n = inst.n;
-        let h = inst.h as i128;
-        let base = lcm_up_to(inst.h as u32);
-        let fc = inst.clique_count();
-        let t = (1 + n + fc) as u32;
-        let mut net = ParametricNetwork::new(t as usize + 1, 0, t, base);
-        // parametric arc layout: [0, n) = s→v, [n, 2n) = v→t
-        for v in 0..n as u32 {
-            net.add_parametric(0, v + 1);
-        }
-        for v in 0..n as u32 {
-            net.add_parametric(v + 1, t);
-        }
-        let mut deg = vec![0i128; n];
-        for (i, members) in inst.full.chunks_exact(inst.h).enumerate() {
-            let cnode = (1 + n + i) as u32;
-            for &v in members {
-                net.add_static(v + 1, cnode, base);
-                net.add_static(cnode, v + 1, (h - 1) * base);
-                deg[v as usize] += base;
+    /// `DeriveCompact(G[T], ρ − 1/|T|², ∅)` — the union of all maximal
+    /// `ρ`-compact subgraphs of `G[T]` — on the retained network, with
+    /// no memo: the kept members (parent ids, ascending). `t_sorted`
+    /// must be ascending with `|T| ≥ 2` and `ρ > 1/|T|²`.
+    pub fn derive_compact_within(&mut self, t_sorted: &[VertexId], rho: Ratio) -> Vec<VertexId> {
+        let ts = t_sorted.len() as i128;
+        let thr = rho - Ratio::new(1, ts * ts);
+        debug_assert!(
+            thr > Ratio::zero(),
+            "DeriveCompact threshold must be positive"
+        );
+        let mut sink = vec![true; self.map.len()];
+        for v in t_sorted {
+            if let Ok(l) = self.map.binary_search(v) {
+                sink[l] = false;
             }
         }
-        let mut local = vec![u32::MAX; cliques.n()];
-        for (i, &v) in map.iter().enumerate() {
-            local[v as usize] = i as u32;
-        }
-        FastVerifier {
-            net,
-            deg,
-            map,
-            local,
-            h,
-            memo: HashMap::new(),
-        }
+        let membership = self.solver.max_source_side(thr.max(Ratio::zero()), &sink);
+        self.kept(&membership)
     }
 
     /// The connected components (in `g`, each ascending) of
-    /// `DeriveCompact(G[T], ρ − 1/|T|², ∅)` — the union of all maximal
-    /// `ρ`-compact subgraphs of `G[T]` — and whether the memo answered.
-    /// `t_sorted` must be ascending; `g` must be the graph the clique
-    /// store was enumerated from.
+    /// [`SupportVerifier::derive_compact_within`], and whether the memo
+    /// answered.
     fn compact_components(
         &mut self,
         g: &CsrGraph,
@@ -316,75 +224,28 @@ impl FastVerifier {
         (self.memo.entry(key).or_insert(comps), false)
     }
 
-    /// `DeriveCompact(G[T], ρ − 1/|T|², ∅)` via the shared network:
-    /// returns the kept members (parent ids, ascending). Support members
-    /// of `T` drive the cut; clique-free `T` members are provably never
-    /// kept and only enter through `|T|` in the perturbation term.
-    fn derive_compact_within(&mut self, t_sorted: &[VertexId], rho: Ratio) -> Vec<VertexId> {
-        let ts = t_sorted.len() as i128;
-        let thr = rho - Ratio::new(1, ts * ts);
-        debug_assert!(
-            thr > Ratio::zero(),
-            "DeriveCompact threshold must be positive"
-        );
-        let thr = thr.max(Ratio::zero());
-        let scale = self.net.scale_for(thr.den());
-        let factor = scale / self.net.base_scale();
-        let vt_cap = (thr * Ratio::from_int(self.h)).scale_to_int(scale);
-        assert!(vt_cap >= 0, "threshold must be non-negative");
-        let n = self.map.len();
-        let mut in_t = vec![false; n];
-        // "infinite" = strictly above the all-sink cut Σ_{v∈T} deg(v),
-        // which bounds the min cut: no minimum cut can afford an
-        // out-of-T vertex on the source side.
-        let mut inf: i128 = 1;
-        for &v in t_sorted {
-            let l = self.local[v as usize];
-            if l != u32::MAX {
-                in_t[l as usize] = true;
-                inf = inf.saturating_add(self.deg[l as usize].saturating_mul(factor));
-            }
-        }
-        let mut caps = Vec::with_capacity(2 * n);
-        for (l, &inside) in in_t.iter().enumerate() {
-            caps.push(if inside { self.deg[l] * factor } else { 0 });
-        }
-        for &inside in &in_t {
-            caps.push(if inside { vt_cap } else { inf });
-        }
-        self.net.solve(scale, &caps);
-        let side = self.net.max_cut_source_side();
-        (0..n)
-            .filter(|&l| in_t[l] && side[l + 1])
-            .map(|l| self.map[l])
+    /// Parent ids of the local vertices marked in `membership`.
+    fn kept(&self, membership: &[bool]) -> Vec<VertexId> {
+        self.map
+            .iter()
+            .zip(membership)
+            .filter(|&(_, &m)| m)
+            .map(|(&v, _)| v)
             .collect()
     }
 }
 
 /// Fast verification (Algorithm 5). `output_mask[v]` marks vertices of
 /// already-verified LhCDSes (used for the early reject — their compact
-/// numbers are pinned at densities `≥ ρ`). Builds a reduced network per
-/// flow-deciding call; see [`verify_fast_with`] to share one network
-/// across candidates.
-pub fn verify_fast(
-    g: &CsrGraph,
-    cliques: &CliqueSet,
-    s_sorted: &[VertexId],
-    rho: Ratio,
-    bounds: &Bounds,
-    output_mask: &[bool],
-    cfg: &FastConfig,
-) -> (Verdict, FastVerifyInfo) {
-    verify_fast_with(g, cliques, s_sorted, rho, bounds, output_mask, cfg, None)
-}
-
-/// [`verify_fast`] with an optional shared [`FastVerifier`] slot: when
-/// given (and boundary-clique inflation is off), the flow step asks the
-/// memoized shared network — built on the first flow-deciding call, so
-/// candidate streams that resolve entirely by shortcut/early-reject
-/// never pay for it — instead of building a reduced network for this
-/// candidate. Verdicts are bit-identical either way; `None` is the
-/// per-candidate oracle.
+/// numbers are pinned at densities `≥ ρ`). An early reject still runs
+/// the flow step, so a rejection always carries its superset.
+///
+/// With a `shared` slot (and boundary-clique inflation off), the flow
+/// step asks the memoized [`SupportVerifier`] — built on the first
+/// flow-deciding call, so candidate streams that resolve entirely by
+/// shortcut never pay for it. `None` builds a reduced network over
+/// `G[T]` per call: the per-candidate oracle. Verdicts are
+/// bit-identical either way.
 #[allow(clippy::too_many_arguments)]
 pub fn verify_fast_with(
     g: &CsrGraph,
@@ -394,7 +255,7 @@ pub fn verify_fast_with(
     bounds: &Bounds,
     output_mask: &[bool],
     cfg: &FastConfig,
-    shared: Option<&mut Option<FastVerifier>>,
+    shared: Option<&mut Option<SupportVerifier>>,
 ) -> (Verdict, FastVerifyInfo) {
     debug_assert!(s_sorted.windows(2).all(|w| w[0] < w[1]));
     let mut info = FastVerifyInfo::default();
@@ -410,8 +271,7 @@ pub fn verify_fast_with(
     }
     let mut queue: std::collections::VecDeque<VertexId> = s_sorted.iter().copied().collect();
     let mut t: Vec<VertexId> = s_sorted.to_vec();
-    let mut rejected = false;
-    'bfs: while let Some(v) = queue.pop_front() {
+    while let Some(v) = queue.pop_front() {
         let v_in_s = in_s[v as usize];
         for &w in g.neighbors(v) {
             if in_t[w as usize] {
@@ -422,10 +282,6 @@ pub fn verify_fast_with(
                 // a neighbor of S certainly has compact number ≥ ρ: its
                 // compact region merges with S — S is not maximal.
                 info.early_reject = true;
-                rejected = true;
-                if !cfg.need_superset {
-                    break 'bfs;
-                }
             }
             if bounds.upper[wi] >= rho_lo {
                 in_t[wi] = true;
@@ -436,10 +292,7 @@ pub fn verify_fast_with(
     }
     info.t_size = t.len();
 
-    if rejected && !cfg.need_superset {
-        return (Verdict::NotMaximal, info);
-    }
-    if !rejected && t.len() == s_sorted.len() {
+    if !info.early_reject && t.len() == s_sorted.len() {
         info.shortcut_accept = true;
         return (Verdict::Lhcds, info);
     }
@@ -447,12 +300,9 @@ pub fn verify_fast_with(
     t.sort_unstable();
     info.used_flow = true;
     let verdict = match shared {
-        // The shared network simulates this candidate's reduced network
-        // with parametric terminal caps alone (only valid without
-        // boundary-clique inflation).
         Some(slot) if !cfg.boundary_cliques => {
-            let fv = slot.get_or_insert_with(|| FastVerifier::new(cliques));
-            let (comps, hit) = fv.compact_components(g, t, rho);
+            let sv = slot.get_or_insert_with(|| SupportVerifier::new(cliques));
+            let (comps, hit) = sv.compact_components(g, t, rho);
             info.memo_hit = hit;
             component_verdict(s_sorted, comps)
         }
@@ -577,15 +427,30 @@ mod tests {
         (cs, bounds)
     }
 
+    /// Algorithm 4 on a fresh support network.
+    fn basic(g: &CsrGraph, cs: &CliqueSet, s: &[VertexId], rho: Ratio) -> Verdict {
+        SupportVerifier::new(cs).verify(g, s, rho)
+    }
+
+    /// Algorithm 5 on per-candidate reduced networks (the oracle).
+    fn fast(
+        g: &CsrGraph,
+        cs: &CliqueSet,
+        s: &[VertexId],
+        rho: Ratio,
+        bounds: &Bounds,
+        outputs: &[bool],
+        cfg: &FastConfig,
+    ) -> (Verdict, FastVerifyInfo) {
+        verify_fast_with(g, cs, s, rho, bounds, outputs, cfg, None)
+    }
+
     #[test]
     fn basic_accepts_true_lhcds() {
         let g = two_k5_disjoint();
         let (cs, _) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
-        assert_eq!(
-            verify_basic(&g, &cs, &s, Ratio::from_int(2)),
-            Verdict::Lhcds
-        );
+        assert_eq!(basic(&g, &cs, &s, Ratio::from_int(2)), Verdict::Lhcds);
     }
 
     #[test]
@@ -595,7 +460,7 @@ mod tests {
         let g = two_k5_bridge();
         let (cs, _) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
-        match verify_basic(&g, &cs, &s, Ratio::from_int(2)) {
+        match basic(&g, &cs, &s, Ratio::from_int(2)) {
             Verdict::Superset(x) => assert_eq!(x, (0..10).collect::<Vec<_>>()),
             other => panic!("expected union superset, got {other:?}"),
         }
@@ -615,7 +480,7 @@ mod tests {
         let (cs, _) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
         // ρ = density of the 5-subset (K5 inside K6) = 10/5 = 2
-        match verify_basic(&g, &cs, &s, Ratio::from_int(2)) {
+        match basic(&g, &cs, &s, Ratio::from_int(2)) {
             Verdict::Superset(x) => assert_eq!(x, (0..6).collect::<Vec<_>>()),
             other => panic!("expected superset, got {other:?}"),
         }
@@ -627,7 +492,7 @@ mod tests {
         let (cs, bounds) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, info) = verify_fast(
+        let (verdict, info) = fast(
             &g,
             &cs,
             &s,
@@ -646,7 +511,7 @@ mod tests {
         let (cs, bounds) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, _) = verify_fast(
+        let (verdict, _) = fast(
             &g,
             &cs,
             &s,
@@ -676,7 +541,7 @@ mod tests {
         }
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, info) = verify_fast(
+        let (verdict, info) = fast(
             &g,
             &cs,
             &s,
@@ -697,21 +562,19 @@ mod tests {
         let s: Vec<VertexId> = (0..5).collect();
         let mut outputs = vec![false; g.n()];
         outputs[5..10].fill(true); // the far K5 was already output
-        let (verdict, info) = verify_fast(
+        let (verdict, info) = fast(
             &g,
             &cs,
             &s,
             Ratio::from_int(2),
             &bounds,
             &outputs,
-            &FastConfig {
-                boundary_cliques: false,
-                need_superset: false,
-            },
+            &FastConfig::default(),
         );
-        assert_eq!(verdict, Verdict::NotMaximal);
+        // the early reject still hands back the blocking superset
+        assert_eq!(verdict, Verdict::Superset((0..10).collect()));
         assert!(info.early_reject);
-        assert!(!info.used_flow);
+        assert!(!info.shortcut_accept);
     }
 
     #[test]
@@ -726,7 +589,7 @@ mod tests {
         let (cs, bounds) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, info) = verify_fast(
+        let (verdict, info) = fast(
             &g,
             &cs,
             &s,
@@ -754,7 +617,7 @@ mod tests {
         bounds.pin_exact(5, Ratio::from_int(2));
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, info) = verify_fast(
+        let (verdict, info) = fast(
             &g,
             &cs,
             &s,
@@ -763,7 +626,6 @@ mod tests {
             &outputs,
             &FastConfig {
                 boundary_cliques: true,
-                need_superset: true,
             },
         );
         // vertex 5 is in T; its triangles with 6..10 straddle
@@ -779,8 +641,8 @@ mod tests {
         }
     }
 
-    /// One `BasicVerifier` across many candidates at different ρ must
-    /// answer exactly like one-shot calls, while building one network.
+    /// One `SupportVerifier` across many candidates at different ρ must
+    /// answer Algorithm 4 exactly like fresh verifiers.
     #[test]
     fn basic_verifier_reuses_one_network_across_candidates() {
         let mut b = GraphBuilder::new();
@@ -799,7 +661,7 @@ mod tests {
             (&[5, 6, 7, 8, 9], Ratio::from_int(2)),
             (&[0, 1, 2], Ratio::from_int(1)),
         ];
-        let mut shared = BasicVerifier::new(&cs);
+        let mut shared = SupportVerifier::new(&cs);
         let verdicts: Vec<Verdict> = candidates
             .iter()
             .map(|&(s, rho)| shared.verify(&g, s, rho))
@@ -807,14 +669,14 @@ mod tests {
         // (the one-network-for-all-candidates counter contract lives in
         // the integration tests, whose process owns the global counters)
         for (&(s, rho), verdict) in candidates.iter().zip(&verdicts) {
-            assert_eq!(*verdict, verify_basic(&g, &cs, s, rho), "{s:?} at {rho}");
+            assert_eq!(*verdict, basic(&g, &cs, s, rho), "{s:?} at {rho}");
         }
         assert_eq!(verdicts[0], Verdict::Lhcds);
         assert_eq!(verdicts[1], Verdict::Lhcds);
         assert!(matches!(verdicts[2], Verdict::Superset(_)));
     }
 
-    /// The shared `FastVerifier` must answer exactly like
+    /// The shared `SupportVerifier` must answer Algorithm 5 exactly like
     /// the per-candidate reduced-network path, across a sequence of
     /// candidates on one retained network.
     #[test]
@@ -832,7 +694,7 @@ mod tests {
         let g = b.build();
         let (cs, bounds) = setup(&g, 3);
         let outputs = vec![false; g.n()];
-        let mut fv = Some(FastVerifier::new(&cs));
+        let mut fv = Some(SupportVerifier::new(&cs));
         let candidates: [(&[VertexId], Ratio); 3] = [
             (&[0, 1, 2, 3, 4], Ratio::from_int(2)),
             (&[5, 6, 7, 8], Ratio::from_int(1)),
@@ -888,13 +750,12 @@ mod tests {
     fn support_universe_matches_reduced_network_oracle() {
         let g = bridged_k5s_with_tail();
         let (cs, mut bounds) = setup(&g, 3);
-        assert_eq!(clique_support(&cs), (0..10).collect::<Vec<_>>());
         // let T run onto the tail
         for v in [10usize, 11] {
             bounds.upper[v] = 10.0;
         }
         let outputs = vec![false; g.n()];
-        let mut fv: Option<FastVerifier> = None;
+        let mut fv: Option<SupportVerifier> = None;
         let s: Vec<VertexId> = (0..5).collect();
         for rho in [Ratio::from_int(2), Ratio::new(3, 2)] {
             let (oracle, oi) = verify_fast_with(
@@ -920,10 +781,11 @@ mod tests {
             assert!(oi.used_flow && oi.t_size == 12, "{oi:?}");
             assert_eq!(oracle, shared, "fast verifier at {rho}");
             assert_eq!(oi.t_size, si.t_size);
-            let mut basic = BasicVerifier::new(&cs);
-            assert_eq!(basic.verify(&g, &s, rho), oracle, "basic verifier at {rho}");
+            assert_eq!(basic(&g, &cs, &s, rho), oracle, "basic verifier at {rho}");
         }
-        assert_eq!(fv.expect("flow-deciding call builds the net").map.len(), 10);
+        // the clique support: the tail is not in the network
+        let support = fv.expect("flow-deciding call builds the net").map;
+        assert_eq!(support, (0..10).collect::<Vec<_>>());
     }
 
     /// A `(T, ρ)` pair that recurs after the output mask and the bounds
@@ -938,7 +800,7 @@ mod tests {
         let cfg = FastConfig::default();
         let first: Vec<VertexId> = (0..5).collect();
         let other: Vec<VertexId> = (5..10).collect();
-        let mut fv: Option<FastVerifier> = None;
+        let mut fv: Option<SupportVerifier> = None;
         let (v1, i1) = verify_fast_with(
             &g,
             &cs,
@@ -1045,7 +907,7 @@ mod tests {
             // candidate: the densest decomposition of the whole graph
             let all: Vec<VertexId> = g.vertices().collect();
             let (inst, map) = local_instance(&cs, &all);
-            let Some((rho, members)) = InstanceSolver::new(&inst).densest_decomposition() else {
+            let Some((rho, members)) = InstanceSolver::new(inst).densest_decomposition() else {
                 continue;
             };
             let kept: Vec<VertexId> = map
@@ -1056,10 +918,10 @@ mod tests {
                 .collect();
             let comps = components_within(&g, &kept);
             let outputs = vec![false; g.n()];
-            let mut fv: Option<FastVerifier> = None;
+            let mut fv: Option<SupportVerifier> = None;
             for comp in comps {
-                let basic = verify_basic(&g, &cs, &comp, rho);
-                let (fast, _) = verify_fast(
+                let by_basic = basic(&g, &cs, &comp, rho);
+                let (by_fast, _) = fast(
                     &g,
                     &cs,
                     &comp,
@@ -1068,7 +930,7 @@ mod tests {
                     &outputs,
                     &FastConfig::default(),
                 );
-                assert_eq!(basic, fast, "trial {trial}: candidate {comp:?}");
+                assert_eq!(by_basic, by_fast, "trial {trial}: candidate {comp:?}");
                 let (shared, _) = verify_fast_with(
                     &g,
                     &cs,
@@ -1079,7 +941,7 @@ mod tests {
                     &FastConfig::default(),
                     Some(&mut fv),
                 );
-                assert_eq!(fast, shared, "trial {trial}: shared {comp:?}");
+                assert_eq!(by_fast, shared, "trial {trial}: shared {comp:?}");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Flow-network reuse must be *invisible*: the production pipeline —
 //! one retained network per local decomposition, one memoized
 //! clique-support network shared by every flow-deciding fast
-//! verification, one support network per basic-verifier run — must
+//! verification, the same support network per basic-verifier run — must
 //! answer exactly like the per-candidate reference
 //! (`top_k_reference`: a fresh reduced network per verification), and
 //! a retained `InstanceSolver` exactly like a fresh solver per probe.
@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use lhcds_clique::Parallelism;
 use lhcds_core::compact::{local_instance, InstanceSolver};
 use lhcds_core::pipeline::{top_k_lhcds, top_k_reference, IppvConfig};
-use lhcds_core::verify::{verify_basic, BasicVerifier, Verdict};
+use lhcds_core::verify::{SupportVerifier, Verdict};
 use lhcds_core::{flow_stats, Ratio};
 use lhcds_graph::{CsrGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
@@ -149,7 +149,7 @@ fn ladders_and_basic_verifier_build_one_network_each() {
     let (inst, _) = local_instance(&cliques, &all);
 
     let before = flow_stats();
-    let ladder = InstanceSolver::new(&inst).densest_decomposition();
+    let ladder = InstanceSolver::new(inst.clone()).densest_decomposition();
     let d = flow_stats().since(&before);
     let k5 = vec![true, true, true, true, true, false, false];
     assert_eq!(ladder, Some((Ratio::from_int(2), k5)));
@@ -158,7 +158,7 @@ fn ladders_and_basic_verifier_build_one_network_each() {
     assert!(d.warm_solves >= 1, "{d:?}");
     assert_eq!(d.infeasible_reset, 0, "a retained flow was reset: {d:?}");
 
-    // one BasicVerifier across candidates at several ρ: one network
+    // one SupportVerifier across candidates at several ρ: one network
     // (every candidate holds a triangle, the verifier's precondition)
     let candidates: [(&[VertexId], Ratio); 3] = [
         (&[0, 1, 2, 3, 4], Ratio::from_int(2)),
@@ -166,7 +166,7 @@ fn ladders_and_basic_verifier_build_one_network_each() {
         (&[0, 1, 2], Ratio::from_int(1)),
     ];
     let before = flow_stats();
-    let mut shared = BasicVerifier::new(&cliques);
+    let mut shared = SupportVerifier::new(&cliques);
     let verdicts: Vec<Verdict> = candidates
         .iter()
         .map(|&(s, rho)| shared.verify(&g, s, rho))
@@ -175,8 +175,9 @@ fn ladders_and_basic_verifier_build_one_network_each() {
     assert_eq!(delta.networks_built, 1, "one network for all candidates");
     assert_eq!(delta.max_flow_invocations, candidates.len() as u64);
     for (&(s, rho), verdict) in candidates.iter().zip(&verdicts) {
-        // the one-shot call builds a fresh verifier: the oracle
-        assert_eq!(*verdict, verify_basic(&g, &cliques, s, rho), "{s:?}@{rho}");
+        // a fresh verifier per candidate: the oracle
+        let fresh = SupportVerifier::new(&cliques).verify(&g, s, rho);
+        assert_eq!(*verdict, fresh, "{s:?}@{rho}");
     }
 }
 
@@ -232,17 +233,17 @@ fn mixed_threshold_schedule_matches_fresh_solvers() {
         Ratio::new(7, 4),  // up again
         Ratio::zero(),
     ];
-    let mut shared = InstanceSolver::new(&inst);
+    let mut shared = InstanceSolver::new(inst.clone());
     let before = flow_stats();
     for rho in schedule {
         assert_eq!(
             shared.max_excess_set(rho),
-            InstanceSolver::new(&inst).max_excess_set(rho),
+            InstanceSolver::new(inst.clone()).max_excess_set(rho),
             "max_excess_set at {rho}"
         );
         assert_eq!(
             shared.derive_compact(rho),
-            InstanceSolver::new(&inst).derive_compact(rho),
+            InstanceSolver::new(inst.clone()).derive_compact(rho),
             "derive_compact at {rho}"
         );
     }
@@ -291,11 +292,11 @@ proptest! {
         }
         let all: Vec<VertexId> = g.vertices().collect();
         let (inst, _) = local_instance(&cliques, &all);
-        let mut shared = InstanceSolver::new(&inst);
+        let mut shared = InstanceSolver::new(inst.clone());
         let mut forced = vec![false; inst.n];
         loop {
             let from_shared = shared.next_density_level(&forced);
-            let from_fresh = InstanceSolver::new(&inst).next_density_level(&forced);
+            let from_fresh = InstanceSolver::new(inst.clone()).next_density_level(&forced);
             prop_assert_eq!(&from_shared, &from_fresh);
             match from_shared {
                 None => break,

@@ -1,7 +1,7 @@
 //! Serial-equivalence harness for the post-enumeration parallel layers
 //! — the clique-level harness (`lhcds-clique/tests/parallel.rs`)
-//! extended to everything `--threads` reaches: the speculative
-//! candidate-verification wave and the threaded CP round scaling.
+//! extended to everything `--threads` reaches after enumeration: the
+//! speculative candidate-verification wave.
 //!
 //! The contract is byte-identity, not approximate agreement: at 1, 2,
 //! 4, and 8 threads the full pipeline output (`subgraphs`: members,

@@ -142,7 +142,7 @@ fn top1_is_the_global_cds() {
     let cs = CliqueSet::enumerate(&g, 3);
     let all: Vec<u32> = g.vertices().collect();
     let (inst, _) = lhcds::core::compact::local_instance(&cs, &all);
-    let (rho_star, _) = lhcds::core::InstanceSolver::new(&inst)
+    let (rho_star, _) = lhcds::core::InstanceSolver::new(inst.clone())
         .densest_decomposition()
         .unwrap();
     assert_eq!(top.density, rho_star);

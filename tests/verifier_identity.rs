@@ -74,7 +74,7 @@ fn check_surfaces(g: &CsrGraph, h: usize) {
     let (inst, map) = local_instance(&cliques, &all);
     let mut forced = vec![false; inst.n];
     for level in &d.levels {
-        let (rho, mask) = InstanceSolver::new(&inst)
+        let (rho, mask) = InstanceSolver::new(inst.clone())
             .next_density_level(&forced)
             .expect("a fresh solver finds the level too");
         let vertices: Vec<VertexId> = (0..inst.n).filter(|&l| mask[l]).map(|l| map[l]).collect();
