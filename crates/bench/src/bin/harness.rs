@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Output is GitHub-flavored markdown on stdout (tee it into a file to
-//! update `EXPERIMENTS.md`). `--scale` multiplies the background size
+//! keep a record). `--scale` multiplies the background size
 //! of every dataset stand-in (default 0.08; 1.0 = full stand-in size).
 //! `--threads N` counts `table2real`'s cliques on `N` threads.
 //!

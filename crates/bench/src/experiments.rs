@@ -1,8 +1,8 @@
 //! One runner per table/figure of the paper's evaluation (§6).
 //!
 //! Every runner prints a markdown section comparable to the paper's
-//! artifact and returns it as a string (the `harness` binary collects
-//! them into `EXPERIMENTS.md` material). Dataset sizes are controlled
+//! artifact and returns it as a string (the `harness` binary prints
+//! them). Dataset sizes are controlled
 //! by [`ExpOptions::scale`]; the defaults keep the full sweep in a
 //! minutes-scale budget (the paper's originals ran up to 48 h).
 
@@ -632,7 +632,8 @@ pub fn fig17(_opts: &ExpOptions) -> String {
     )
 }
 
-/// Ablation: fast-verifier features on/off (DESIGN.md §4).
+/// Ablation: verifier configurations on/off. Every configuration is
+/// exact, so each must reproduce the default configuration's output.
 pub fn ablation(opts: &ExpOptions) -> String {
     let mut t = MdTable::new([
         "dataset",
@@ -643,24 +644,10 @@ pub fn ablation(opts: &ExpOptions) -> String {
     ]);
     for abbr in ["HA", "CM", "EP"] {
         let d = dataset(abbr, opts.scale);
-        // `exact = true` configurations must reproduce the reference
-        // output bit-for-bit. The boundary-clique variant (paper Figure
-        // 7 capacities over our larger T) inflates straddling cliques
-        // and may *under-report* — it is measured but not asserted (see
-        // DESIGN.md).
-        let configs: [(&str, bool, IppvConfig); 4] = [
-            ("fast", true, IppvConfig::default()),
-            (
-                "fast+boundary (approx)",
-                false,
-                IppvConfig {
-                    boundary_cliques: true,
-                    ..IppvConfig::default()
-                },
-            ),
+        let configs: [(&str, IppvConfig); 3] = [
+            ("fast", IppvConfig::default()),
             (
                 "basic",
-                true,
                 IppvConfig {
                     fast_verify: false,
                     ..IppvConfig::default()
@@ -668,7 +655,6 @@ pub fn ablation(opts: &ExpOptions) -> String {
             ),
             (
                 "no-cp (flow only)",
-                true,
                 IppvConfig {
                     use_cp: false,
                     use_prune: false,
@@ -678,14 +664,12 @@ pub fn ablation(opts: &ExpOptions) -> String {
             ),
         ];
         let reference = top_k_lhcds(&d.graph, 3, 10, &IppvConfig::default());
-        for (name, exact, cfg) in configs {
+        for (name, cfg) in configs {
             let (res, ms) = time_ms(|| top_k_lhcds(&d.graph, 3, 10, &cfg));
-            if exact {
-                assert_eq!(
-                    res.subgraphs, reference.subgraphs,
-                    "{abbr}/{name}: results must not depend on configuration"
-                );
-            }
+            assert_eq!(
+                res.subgraphs, reference.subgraphs,
+                "{abbr}/{name}: results must not depend on configuration"
+            );
             t.row([
                 abbr.to_string(),
                 name.to_string(),
@@ -899,6 +883,13 @@ mod tests {
     #[test]
     fn ablation_runs_and_agrees() {
         let out = ablation(&TINY);
-        assert!(out.contains("fast+boundary"));
+        // one asserted row per dataset (HA, CM, EP) for each config
+        for config in ["fast", "basic", "no-cp (flow only)"] {
+            let rows = out
+                .lines()
+                .filter(|l| l.split('|').nth(2).map(str::trim) == Some(config))
+                .count();
+            assert_eq!(rows, 3, "{config}");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! # lhcds-bench
 //!
 //! Experiment harness reproducing every table and figure of the LhCDS
-//! paper's evaluation (§6). See `DESIGN.md` §4 for the experiment index
-//! and `EXPERIMENTS.md` for recorded paper-vs-measured outcomes.
+//! paper's evaluation (§6). [`experiments::all_experiments`] is the
+//! experiment index (`harness --list` prints it).
 //!
 //! * [`experiments`] — one runner per table/figure; each prints a
 //!   markdown table comparable to the paper's.

@@ -1,16 +1,15 @@
-//! `DeriveCompact` flow networks (Figures 6 and 7), `IsDensest`, and the
+//! The `DeriveCompact` flow network (Figure 6), `IsDensest`, and the
 //! exact local densest decomposition.
 //!
 //! All routines operate on a [`LocalInstance`]: a relabelled vertex
-//! universe `0..n` with the h-cliques fully inside it, plus (for the
-//! fast verifier's reduced network, Figure 7) the *boundary cliques* `P`
-//! that straddle the universe — each represented by its inside members
-//! and carrying arc capacity `1 + (h − cnt)/cnt = h/cnt`.
+//! universe `0..n` with the h-cliques fully inside it.
 //!
 //! ## Exactness
-//! For threshold `ρ = a/b` all capacities are scaled by
-//! `D = lcm(b, lcm(1..=h))`, making every capacity an integer `i128`:
-//! the min-cut, and therefore every verification decision, is exact.
+//! For threshold `ρ = a/b` all capacities are scaled by a multiple `D`
+//! of `b`. The gadget capacities `1`, `h − 1` and the clique degree are
+//! integers at unit scale and `ρ·h·D` is an integer, so every capacity
+//! is an integer `i128`: the min-cut, and therefore every verification
+//! decision, is exact.
 //!
 //! ## The gadget (one clique node per h-clique `ψ`)
 //! `v → ψ` with capacity 1 and `ψ → v` with capacity `h − 1` for every
@@ -43,9 +42,8 @@
 //!
 //! ## Pinned vertices
 //! Two kinds of probe pin vertices to one side of every minimum cut,
-//! each with the same "infinite" capacity at solve scale `D` (base
-//! scale `B = lcm(1..=h)`):
-//! `inf = h·D·(|Ψ| + |P| + 1) + ρh·D·(n + 1) + 1`.
+//! each with the same "infinite" capacity at solve scale `D`:
+//! `inf = h·D·(|Ψ| + 1) + ρh·D·(n + 1) + 1`.
 //!
 //! * **Source pins** ([`InstanceSolver::next_density_level`]'s higher
 //!   levels): `s → v = inf`.
@@ -53,10 +51,9 @@
 //!   verifier's step on its retained clique-support network):
 //!   `s → v = 0` and `v → t = inf`.
 //!
-//! Every interior clique carries `h·D` of `s → v` capacity over its
-//! members and every boundary clique `Σ h·D/cnt = h·D`, so the all-sink
-//! cut costs at most `Σ_v deg(v)·D/B = h·D·(|Ψ| + |P|) < inf`; with the
-//! source pins instead, the cut whose source side is the pinned set
+//! Every clique carries `h·D` of `s → v` capacity over its members, so
+//! the all-sink cut costs at most `Σ_v deg(v)·D = h·D·|Ψ| < inf`; with
+//! the source pins instead, the cut whose source side is the pinned set
 //! costs at most that plus `ρh·D·n`, also below `inf`. A minimum cut
 //! therefore never cuts a pinned arc: a sink-pinned vertex never lies
 //! on a min-cut source side, a source-pinned one always does, and since
@@ -64,21 +61,10 @@
 //! capacity (it is never saturated and never retracted).
 
 use lhcds_clique::CliqueSet;
-use lhcds_flow::rational::lcm_up_to;
 use lhcds_flow::{ParametricNetwork, Ratio};
 use lhcds_graph::VertexId;
 
-/// A clique of the parent graph that straddles the local universe:
-/// only `inside` (local ids, `1 ≤ |inside| < h`) of its `h` members are
-/// local. Used by the fast verifier's reduced network (Figure 7).
-#[derive(Debug, Clone)]
-pub struct BoundaryClique {
-    /// Local ids of the members inside the universe (`cnt = len()`).
-    pub inside: Vec<u32>,
-}
-
-/// A relabelled sub-universe with its interior (and optionally boundary)
-/// h-cliques.
+/// A relabelled sub-universe with its interior h-cliques.
 #[derive(Debug, Clone)]
 pub struct LocalInstance {
     /// Number of local vertices.
@@ -87,8 +73,6 @@ pub struct LocalInstance {
     pub h: usize,
     /// Interior cliques, `h` local ids each.
     pub full: Vec<u32>,
-    /// Boundary cliques (empty unless the caller opts into Figure 7).
-    pub boundary: Vec<BoundaryClique>,
 }
 
 impl LocalInstance {
@@ -110,8 +94,7 @@ impl LocalInstance {
 
 /// Extracts the [`LocalInstance`] induced by `set` (parent vertex ids)
 /// from a parent clique store. Returns the instance and the local→parent
-/// mapping (ascending). Boundary cliques are *not* collected here — the
-/// fast verifier adds them separately when configured to.
+/// mapping (ascending).
 pub fn local_instance(cliques: &CliqueSet, set: &[VertexId]) -> (LocalInstance, Vec<VertexId>) {
     let mut to_parent: Vec<VertexId> = set.to_vec();
     to_parent.sort_unstable();
@@ -172,31 +155,26 @@ pub fn local_instance(cliques: &CliqueSet, set: &[VertexId]) -> (LocalInstance, 
             n: to_parent.len(),
             h,
             full,
-            boundary: Vec::new(),
         },
         to_parent,
     )
 }
 
 /// A [`LocalInstance`] bundled with its lazily built, reusable flow
-/// network: the only builder of the Figure 6/7 gadget.
+/// network: the only builder of the Figure 6 gadget.
 ///
-/// Node layout: `0 = s`, `1..=n` local vertices, then interior clique
-/// nodes, then boundary clique nodes, `t` last. Gadget arcs (`v → ψ`,
-/// `ψ → v`) are *static* — expressed once at base scale `lcm(1..=h)`;
-/// the ρ-dependent terminal arcs (`s → v`, `v → t`) and the boundary
-/// in-arcs are *parametric* and re-tuned per probe. Every probe of
-/// every method reuses the same [`ParametricNetwork`], warm-starting
-/// when the capacity change is monotone and retracting the flow on
-/// decreases.
+/// Node layout: `0 = s`, `1..=n` local vertices, then clique nodes, `t`
+/// last. Gadget arcs (`v → ψ`, `ψ → v`) are *static* — expressed once
+/// at unit scale; the ρ-dependent terminal arcs (`s → v`, `v → t`) are
+/// *parametric* and re-tuned per probe. Every probe of every method
+/// reuses the same [`ParametricNetwork`], warm-starting when the
+/// capacity change is monotone and retracting the flow on decreases.
 #[derive(Debug, Clone)]
 pub struct InstanceSolver {
     inst: LocalInstance,
     net: Option<ParametricNetwork>,
-    /// Per-vertex base-scale degree from interior and boundary cliques.
+    /// Per-vertex clique degree.
     deg: Vec<i128>,
-    /// Base-scale capacity of each boundary in-arc, in network order.
-    boundary_in_base: Vec<i128>,
 }
 
 /// Vertices a solve pins to one side of every minimum cut.
@@ -212,30 +190,14 @@ enum Pins<'a> {
 impl InstanceSolver {
     /// Wraps `inst`; the network is built on the first probe.
     pub fn new(inst: LocalInstance) -> InstanceSolver {
-        let n = inst.n;
-        let h = inst.h as i128;
-        let base = lcm_up_to(inst.h as u32);
-        let mut deg = vec![0i128; n];
-        let mut boundary_in_base = Vec::new();
-        for members in inst.full.chunks_exact(inst.h) {
-            for &v in members {
-                deg[v as usize] += base;
-            }
-        }
-        for b in &inst.boundary {
-            let cnt = b.inside.len() as i128;
-            debug_assert!(cnt >= 1 && cnt < h, "boundary clique must straddle");
-            let incap = h * base / cnt; // exact: cnt | lcm(1..=h)
-            for &v in &b.inside {
-                deg[v as usize] += incap;
-                boundary_in_base.push(incap);
-            }
+        let mut deg = vec![0i128; inst.n];
+        for &v in &inst.full {
+            deg[v as usize] += 1;
         }
         InstanceSolver {
             inst,
             net: None,
             deg,
-            boundary_in_base,
         }
     }
 
@@ -249,13 +211,9 @@ impl InstanceSolver {
     fn build_network(inst: &LocalInstance) -> ParametricNetwork {
         let n = inst.n;
         let h = inst.h as i128;
-        let fc = inst.clique_count();
-        let bc = inst.boundary.len();
-        let t = (1 + n + fc + bc) as u32;
-        let base = lcm_up_to(inst.h as u32);
-        let mut pn = ParametricNetwork::new(t as usize + 1, 0, t, base);
-        // parametric arc layout: [0, n) = s→v; [n, 2n) = v→t; then the
-        // boundary in-arcs in boundary/member order
+        let t = (1 + n + inst.clique_count()) as u32;
+        let mut pn = ParametricNetwork::new(t as usize + 1, 0, t);
+        // parametric arc layout: [0, n) = s→v; [n, 2n) = v→t
         for v in 0..n as u32 {
             pn.add_parametric(0, v + 1);
         }
@@ -265,15 +223,8 @@ impl InstanceSolver {
         for (i, members) in inst.full.chunks_exact(inst.h).enumerate() {
             let cnode = (1 + n + i) as u32;
             for &v in members {
-                pn.add_static(v + 1, cnode, base);
-                pn.add_static(cnode, v + 1, (h - 1) * base);
-            }
-        }
-        for (j, b) in inst.boundary.iter().enumerate() {
-            let cnode = (1 + n + fc + j) as u32;
-            for &v in &b.inside {
-                pn.add_parametric(v + 1, cnode);
-                pn.add_static(cnode, v + 1, (h - 1) * base);
+                pn.add_static(v + 1, cnode, 1);
+                pn.add_static(cnode, v + 1, h - 1);
             }
         }
         pn
@@ -286,9 +237,8 @@ impl InstanceSolver {
         let pn = self.net.get_or_insert_with(|| Self::build_network(inst));
         let n = inst.n;
         let h = inst.h as i128;
-        let gadget_nodes = (inst.clique_count() + inst.boundary.len() + 1) as i128;
+        let gadget_nodes = (inst.clique_count() + 1) as i128;
         let scale = pn.scale_for(rho.den());
-        let factor = scale / pn.base_scale();
         let vt_cap = (rho * Ratio::from_int(h)).scale_to_int(scale);
         assert!(vt_cap >= 0, "threshold must be non-negative");
         let inf = (h * scale)
@@ -299,13 +249,12 @@ impl InstanceSolver {
         caps.extend((0..n).map(|v| match pins {
             Pins::Source(f) if f[v] => inf,
             Pins::Sink(f) if f[v] => 0,
-            _ => self.deg[v] * factor,
+            _ => self.deg[v] * scale,
         }));
         caps.extend((0..n).map(|v| match pins {
             Pins::Sink(f) if f[v] => inf,
             _ => vt_cap,
         }));
-        caps.extend(self.boundary_in_base.iter().map(|&incap| incap * factor));
         pn.solve(scale, &caps);
     }
 
@@ -347,11 +296,10 @@ impl InstanceSolver {
     /// The maximal min-cut source side at threshold `thr`, with every
     /// vertex of `sink` pinned to the sink side (`s → v = 0`, `v → t`
     /// infinite; module docs). Pinned vertices are never kept. The
-    /// unpinned ones keep their whole-instance `s → v` degree, and on an
-    /// instance without boundary cliques the kept set equals the one the
-    /// network of the sub-instance induced on them keeps at the same
-    /// threshold ([`crate::verify`] module docs): the fast verifier's
-    /// flow step on a retained network.
+    /// unpinned ones keep their whole-instance `s → v` degree, and the
+    /// kept set equals the one the network of the sub-instance induced
+    /// on them keeps at the same threshold ([`crate::verify`] module
+    /// docs): the fast verifier's flow step on a retained network.
     pub fn max_source_side(&mut self, thr: Ratio, sink: &[bool]) -> Vec<bool> {
         debug_assert_eq!(sink.len(), self.inst.n);
         self.solve(thr, Pins::Sink(sink));
@@ -464,23 +412,13 @@ fn perturbed(rho: Ratio, n: usize) -> Ratio {
     (rho - Ratio::new(1, n * n)).max(Ratio::zero())
 }
 
-/// Number of interior cliques fully inside `set` plus boundary cliques
-/// whose inside members are all in `set` (each counts as one clique, as
-/// in the Figure 7 network).
+/// Number of cliques fully inside `set`.
 pub fn count_inside(inst: &LocalInstance, set: &[bool]) -> u64 {
     let mut c = 0u64;
     'full: for members in inst.full.chunks_exact(inst.h) {
         for &v in members {
             if !set[v as usize] {
                 continue 'full;
-            }
-        }
-        c += 1;
-    }
-    'bnd: for b in &inst.boundary {
-        for &v in &b.inside {
-            if !set[v as usize] {
-                continue 'bnd;
             }
         }
         c += 1;
@@ -619,30 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_clique_counts_when_inside_members_kept() {
-        // Universe = one edge {0, 1} (no interior triangle), plus a
-        // boundary triangle with cnt = 2 inside members. Keeping both
-        // members yields 1 clique at density 1/2.
-        let inst = LocalInstance {
-            n: 2,
-            h: 3,
-            full: Vec::new(),
-            boundary: vec![BoundaryClique { inside: vec![0, 1] }],
-        };
-        let all = vec![true, true];
-        assert_eq!(count_inside(&inst, &all), 1);
-        // at rho = 1/2 the pair is exactly compact: no denser subset
-        assert!(InstanceSolver::new(inst.clone()).is_densest(Ratio::new(1, 2)));
-        // at a smaller threshold the pair (or a single vertex) has
-        // positive excess
-        let set = InstanceSolver::new(inst.clone()).max_excess_set(Ratio::new(1, 3));
-        assert!(set.iter().any(|&b| b));
-        // derive_compact at 1/2 keeps both members
-        let kept = InstanceSolver::new(inst.clone()).derive_compact(Ratio::new(1, 2));
-        assert_eq!(kept, vec![true, true]);
-    }
-
-    #[test]
     fn derive_compact_drops_subthreshold_fringe() {
         // K5 with pendant: maximal 2-compact subgraph = the K5 alone.
         let mut b = GraphBuilder::new();
@@ -698,7 +612,6 @@ mod tests {
             n: 0,
             h: 3,
             full: Vec::new(),
-            boundary: Vec::new(),
         };
         assert!(InstanceSolver::new(inst.clone())
             .max_excess_set(Ratio::from_int(1))

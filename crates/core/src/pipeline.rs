@@ -59,7 +59,7 @@ use crate::cp::seq_kclist_pp;
 use crate::decompose::tentative_gd;
 use crate::prune::prune;
 use crate::stable::derive_stable_groups;
-use crate::verify::{verify_fast_with, FastConfig, SupportVerifier, Verdict};
+use crate::verify::{verify_fast_with, SupportVerifier, Verdict};
 use lhcds_clique::{CliqueSet, Parallelism};
 use lhcds_flow::Ratio;
 use lhcds_graph::traversal::components_within;
@@ -67,7 +67,7 @@ use lhcds_graph::{CsrGraph, VertexId};
 
 /// Tuning knobs of the IPPV pipeline. Defaults match the paper's
 /// experimental configuration (`T = 20` CP iterations, fast
-/// verification, no boundary cliques — see DESIGN.md).
+/// verification).
 #[derive(Debug, Clone)]
 pub struct IppvConfig {
     /// Number of SEQ-kClist++ rounds (`T`; Figure 16 sweeps this).
@@ -75,8 +75,6 @@ pub struct IppvConfig {
     /// Use the reduced-network fast verifier (Algorithm 5) instead of
     /// the full-graph basic verifier (Algorithm 4).
     pub fast_verify: bool,
-    /// Add Figure 7 boundary cliques to the fast verifier's network.
-    pub boundary_cliques: bool,
     /// Safety slack around float-derived bounds (see [`crate::bounds`]).
     pub bound_slack: f64,
     /// Run the convex-program proposal stage (SEQ-kClist++ +
@@ -99,7 +97,6 @@ impl Default for IppvConfig {
         IppvConfig {
             cp_iterations: 20,
             fast_verify: true,
-            boundary_cliques: false,
             bound_slack: DEFAULT_SLACK,
             use_cp: true,
             use_prune: true,
@@ -387,8 +384,6 @@ struct Driver<'a> {
     /// The one clique-support network both verifiers solve on, built
     /// lazily on the first flow-deciding verification, so it is
     /// constructed once per run, not once per verification.
-    /// Boundary-clique inflation keeps the per-candidate reduced
-    /// networks.
     support: Option<SupportVerifier>,
     /// Whether the fast verifier uses `support` (false only for
     /// [`top_k_reference`], the per-candidate oracle).
@@ -640,38 +635,22 @@ impl<'a> Driver<'a> {
             }
             return;
         };
-        let u: Vec<VertexId> = comp
-            .iter()
-            .zip(&members)
-            .filter(|&(_, &m)| m)
-            .map(|(&v, _)| v)
-            .collect();
-        let rest: Vec<VertexId> = {
-            let mut in_u = vec![false; self.g.n()];
-            for &v in &u {
-                in_u[v as usize] = true;
-            }
-            comp.iter()
-                .copied()
-                .filter(|&v| !in_u[v as usize])
-                .collect()
-        };
+        let (mut u, mut rest) = (Vec::new(), Vec::new());
+        for (&v, &m) in comp.iter().zip(&members) {
+            if m { &mut u } else { &mut rest }.push(v);
+        }
         if !rest.is_empty() {
             // Extracting U breaks the whole-component property of rest.
             self.push_candidate(rest, false);
         }
-        let mut in_comp = vec![false; self.g.n()];
-        for &v in &comp {
-            in_comp[v as usize] = true;
-        }
         for m in components_within(self.g, &u) {
-            self.verify_candidate(m, rho_star, &in_comp, escalated);
+            self.verify_candidate(m, rho_star, &comp, escalated);
         }
     }
 
     /// Verifies one maximal locally-dense component `m` (density exactly
     /// `rho`, `ρ`-compact, connected — guaranteed by the local densest
-    /// decomposition over the component marked in `in_comp`).
+    /// decomposition over `comp`, sorted ascending).
     ///
     /// On rejection the verifier hands back `X`, the maximal `ρ`-compact
     /// subgraph of `G` containing `m`. Every not-yet-found LhCDS `L`
@@ -692,15 +671,14 @@ impl<'a> Driver<'a> {
         &mut self,
         m: Vec<VertexId>,
         rho: Ratio,
-        in_comp: &[bool],
+        comp: &[VertexId],
         escalated: bool,
     ) {
         self.stats.verifications += 1;
         let verdict = if self.cfg.fast_verify {
             // All flow-deciding fast verifications share one memoized
             // network — built lazily inside the flow tail, so
-            // shortcut-resolved candidates never build it;
-            // boundary-clique inflation keeps per-candidate networks.
+            // shortcut-resolved candidates never build it.
             let shared = self.share_fast.then_some(&mut self.support);
             let (verdict, info) = verify_fast_with(
                 self.g,
@@ -709,9 +687,6 @@ impl<'a> Driver<'a> {
                 rho,
                 &self.bounds,
                 &self.output,
-                &FastConfig {
-                    boundary_cliques: self.cfg.boundary_cliques,
-                },
                 shared,
             );
             if info.shortcut_accept {
@@ -760,7 +735,7 @@ impl<'a> Driver<'a> {
                     .expect("m survives output removal");
                 let grows = c.iter().any(|&v| {
                     let vi = v as usize;
-                    !in_comp[vi] && !self.pruned[vi] && !self.killed[vi]
+                    comp.binary_search(&v).is_err() && !self.pruned[vi] && !self.killed[vi]
                 });
                 if !grows || escalated {
                     // No eligible growth beyond the decomposed component

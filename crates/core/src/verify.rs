@@ -29,12 +29,11 @@
 //!     vertex can reach compact number `ρ`, so no supergraph exists.
 //!
 //!   Otherwise `DeriveCompact(G[T], ρ − 1/|T|², P)` decides exactly.
-//!   With this `T` the paper's boundary-clique set `P` is provably
-//!   empty under its own validity rule (a straddling clique would have
-//!   a member with `φ̄ < ρ`, which can belong to no `ρ`-compact
-//!   subgraph); `FastConfig::boundary_cliques` optionally adds the
-//!   straddling cliques anyway — the Figure 7 network with `h/cnt`
-//!   capacities — for the ablation benchmarks.
+//!   With this `T` the paper's boundary-clique set `P` (Figure 7) is
+//!   provably empty under its own validity rule (a straddling clique
+//!   would have a member with `φ̄ < ρ`, which can belong to no
+//!   `ρ`-compact subgraph), so the network is the Figure 6 one over
+//!   `G[T]`.
 //!
 //! ## Why the shared network is exact
 //!
@@ -82,7 +81,7 @@
 //! network is tested against.
 
 use crate::bounds::Bounds;
-use crate::compact::{local_instance, BoundaryClique, InstanceSolver, LocalInstance};
+use crate::compact::{local_instance, InstanceSolver};
 use lhcds_clique::CliqueSet;
 use lhcds_flow::Ratio;
 use lhcds_graph::traversal::components_within;
@@ -114,24 +113,6 @@ pub struct FastVerifyInfo {
     pub shortcut_accept: bool,
     /// Whether an early bound-based reject fired.
     pub early_reject: bool,
-    /// Interior cliques in the reduced network (0 when the shared
-    /// network of a [`SupportVerifier`] answered instead — no reduced
-    /// network is materialized there).
-    pub local_cliques: usize,
-    /// Boundary cliques added to the reduced network.
-    pub boundary_cliques: usize,
-}
-
-/// Options for [`verify_fast_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FastConfig {
-    /// Add straddling cliques to the reduced network with the Figure 7
-    /// `h/cnt` capacities. Off by default: under this crate's (larger,
-    /// provably sufficient) `T`, inflating straddling cliques can
-    /// manufacture spurious compact supersets and *falsely reject* a
-    /// true LhCDS — the switch exists for the ablation benchmarks only
-    /// (see DESIGN.md).
-    pub boundary_cliques: bool,
 }
 
 /// Both verifiers' flow step on **one** retained Figure 6 network over
@@ -240,13 +221,11 @@ impl SupportVerifier {
 /// numbers are pinned at densities `≥ ρ`). An early reject still runs
 /// the flow step, so a rejection always carries its superset.
 ///
-/// With a `shared` slot (and boundary-clique inflation off), the flow
-/// step asks the memoized [`SupportVerifier`] — built on the first
-/// flow-deciding call, so candidate streams that resolve entirely by
-/// shortcut never pay for it. `None` builds a reduced network over
-/// `G[T]` per call: the per-candidate oracle. Verdicts are
-/// bit-identical either way.
-#[allow(clippy::too_many_arguments)]
+/// With a `shared` slot, the flow step asks the memoized
+/// [`SupportVerifier`] — built on the first flow-deciding call, so
+/// candidate streams that resolve entirely by shortcut never pay for
+/// it. `None` builds a reduced network over `G[T]` per call: the
+/// per-candidate oracle. Verdicts are bit-identical either way.
 pub fn verify_fast_with(
     g: &CsrGraph,
     cliques: &CliqueSet,
@@ -254,7 +233,6 @@ pub fn verify_fast_with(
     rho: Ratio,
     bounds: &Bounds,
     output_mask: &[bool],
-    cfg: &FastConfig,
     shared: Option<&mut Option<SupportVerifier>>,
 ) -> (Verdict, FastVerifyInfo) {
     debug_assert!(s_sorted.windows(2).all(|w| w[0] < w[1]));
@@ -300,21 +278,15 @@ pub fn verify_fast_with(
     t.sort_unstable();
     info.used_flow = true;
     let verdict = match shared {
-        Some(slot) if !cfg.boundary_cliques => {
+        Some(slot) => {
             let sv = slot.get_or_insert_with(|| SupportVerifier::new(cliques));
             let (comps, hit) = sv.compact_components(g, t, rho);
             info.memo_hit = hit;
             component_verdict(s_sorted, comps)
         }
-        _ => {
-            // Reduced flow network over G[T] (Figure 7 when boundary
-            // cliques are on): the per-candidate oracle.
-            let (mut inst, map) = local_instance(cliques, &t);
-            info.local_cliques = inst.clique_count();
-            if cfg.boundary_cliques {
-                collect_boundary_cliques(cliques, &t, &map, &mut inst);
-                info.boundary_cliques = inst.boundary.len();
-            }
+        None => {
+            // Reduced flow network over G[T]: the per-candidate oracle.
+            let (inst, map) = local_instance(cliques, &t);
             let membership = InstanceSolver::new(inst).derive_compact(rho);
             let kept: Vec<VertexId> = map
                 .iter()
@@ -326,42 +298,6 @@ pub fn verify_fast_with(
         }
     };
     (verdict, info)
-}
-
-/// Collects cliques that straddle `t` (sorted) into `inst.boundary`,
-/// Figure 7 style. `map` is the local→parent mapping of `inst`.
-fn collect_boundary_cliques(
-    cliques: &CliqueSet,
-    t_sorted: &[VertexId],
-    map: &[VertexId],
-    inst: &mut LocalInstance,
-) {
-    debug_assert_eq!(map, t_sorted);
-    let mut local = vec![u32::MAX; cliques.n()];
-    for (i, &v) in map.iter().enumerate() {
-        local[v as usize] = i as u32;
-    }
-    let mut stamp = vec![false; cliques.len()];
-    for &v in t_sorted {
-        for &ci in cliques.cliques_of(v) {
-            let ci = ci as usize;
-            if stamp[ci] {
-                continue;
-            }
-            stamp[ci] = true;
-            let members = cliques.members(ci);
-            let inside: Vec<u32> = members
-                .iter()
-                .filter_map(|&w| {
-                    let l = local[w as usize];
-                    (l != u32::MAX).then_some(l)
-                })
-                .collect();
-            if !inside.is_empty() && inside.len() < members.len() {
-                inst.boundary.push(BoundaryClique { inside });
-            }
-        }
-    }
 }
 
 /// Shared tail: `S` is an LhCDS iff it equals its connected component
@@ -440,9 +376,8 @@ mod tests {
         rho: Ratio,
         bounds: &Bounds,
         outputs: &[bool],
-        cfg: &FastConfig,
     ) -> (Verdict, FastVerifyInfo) {
-        verify_fast_with(g, cs, s, rho, bounds, outputs, cfg, None)
+        verify_fast_with(g, cs, s, rho, bounds, outputs, None)
     }
 
     #[test]
@@ -492,15 +427,7 @@ mod tests {
         let (cs, bounds) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, info) = fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig::default(),
-        );
+        let (verdict, info) = fast(&g, &cs, &s, Ratio::from_int(2), &bounds, &outputs);
         assert_eq!(verdict, Verdict::Lhcds);
         assert!(info.t_size >= 5);
     }
@@ -511,15 +438,7 @@ mod tests {
         let (cs, bounds) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, _) = fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig::default(),
-        );
+        let (verdict, _) = fast(&g, &cs, &s, Ratio::from_int(2), &bounds, &outputs);
         match verdict {
             Verdict::Superset(x) => assert_eq!(x, (0..10).collect::<Vec<_>>()),
             other => panic!("expected union superset, got {other:?}"),
@@ -541,15 +460,7 @@ mod tests {
         }
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, info) = fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig::default(),
-        );
+        let (verdict, info) = fast(&g, &cs, &s, Ratio::from_int(2), &bounds, &outputs);
         assert_eq!(verdict, Verdict::Lhcds);
         assert!(info.shortcut_accept);
         assert!(!info.used_flow);
@@ -562,15 +473,7 @@ mod tests {
         let s: Vec<VertexId> = (0..5).collect();
         let mut outputs = vec![false; g.n()];
         outputs[5..10].fill(true); // the far K5 was already output
-        let (verdict, info) = fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig::default(),
-        );
+        let (verdict, info) = fast(&g, &cs, &s, Ratio::from_int(2), &bounds, &outputs);
         // the early reject still hands back the blocking superset
         assert_eq!(verdict, Verdict::Superset((0..10).collect()));
         assert!(info.early_reject);
@@ -589,56 +492,12 @@ mod tests {
         let (cs, bounds) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, info) = fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig::default(),
-        );
+        let (verdict, info) = fast(&g, &cs, &s, Ratio::from_int(2), &bounds, &outputs);
         match verdict {
             Verdict::Superset(x) => assert_eq!(x, (0..6).collect::<Vec<_>>()),
             other => panic!("expected superset, got {other:?}"),
         }
         assert!(info.used_flow);
-    }
-
-    #[test]
-    fn boundary_clique_option_is_exercised() {
-        let g = two_k5_bridge();
-        let (cs, mut bounds) = setup(&g, 3);
-        // Force a T that cuts through the second K5: member 5 may reach
-        // ρ, the rest certainly cannot (artificially tightened bounds).
-        for v in 6..10 {
-            bounds.pin_exact(v, Ratio::new(1, 2));
-        }
-        bounds.pin_exact(5, Ratio::from_int(2));
-        let s: Vec<VertexId> = (0..5).collect();
-        let outputs = vec![false; g.n()];
-        let (verdict, info) = fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig {
-                boundary_cliques: true,
-            },
-        );
-        // vertex 5 is in T; its triangles with 6..10 straddle
-        assert!(info.boundary_cliques > 0);
-        // The inflated network credits vertex 5 with its straddling
-        // triangles, keeping it in the compact set: the verdict is a
-        // rejection with superset {0..5}. (The artificial pinned bounds
-        // under-reported the far K5; the true answer for this graph is
-        // that the union of all ten vertices is the only L3CDS.)
-        match verdict {
-            Verdict::Superset(x) => assert_eq!(x, (0..6).collect::<Vec<_>>()),
-            other => panic!("expected superset under boundary inflation, got {other:?}"),
-        }
     }
 
     /// One `SupportVerifier` across many candidates at different ρ must
@@ -701,26 +560,8 @@ mod tests {
             (&[9, 10, 11], Ratio::new(1, 3)),
         ];
         for &(s, rho) in &candidates {
-            let (legacy, li) = verify_fast_with(
-                &g,
-                &cs,
-                s,
-                rho,
-                &bounds,
-                &outputs,
-                &FastConfig::default(),
-                None,
-            );
-            let (shared, si) = verify_fast_with(
-                &g,
-                &cs,
-                s,
-                rho,
-                &bounds,
-                &outputs,
-                &FastConfig::default(),
-                Some(&mut fv),
-            );
+            let (legacy, li) = verify_fast_with(&g, &cs, s, rho, &bounds, &outputs, None);
+            let (shared, si) = verify_fast_with(&g, &cs, s, rho, &bounds, &outputs, Some(&mut fv));
             assert_eq!(legacy, shared, "candidate {s:?} at {rho}");
             assert_eq!(li.used_flow, si.used_flow);
             assert_eq!(li.t_size, si.t_size);
@@ -758,26 +599,8 @@ mod tests {
         let mut fv: Option<SupportVerifier> = None;
         let s: Vec<VertexId> = (0..5).collect();
         for rho in [Ratio::from_int(2), Ratio::new(3, 2)] {
-            let (oracle, oi) = verify_fast_with(
-                &g,
-                &cs,
-                &s,
-                rho,
-                &bounds,
-                &outputs,
-                &FastConfig::default(),
-                None,
-            );
-            let (shared, si) = verify_fast_with(
-                &g,
-                &cs,
-                &s,
-                rho,
-                &bounds,
-                &outputs,
-                &FastConfig::default(),
-                Some(&mut fv),
-            );
+            let (oracle, oi) = verify_fast_with(&g, &cs, &s, rho, &bounds, &outputs, None);
+            let (shared, si) = verify_fast_with(&g, &cs, &s, rho, &bounds, &outputs, Some(&mut fv));
             assert!(oi.used_flow && oi.t_size == 12, "{oi:?}");
             assert_eq!(oracle, shared, "fast verifier at {rho}");
             assert_eq!(oi.t_size, si.t_size);
@@ -797,7 +620,6 @@ mod tests {
         let g = bridged_k5s_with_tail();
         let (cs, mut bounds) = setup(&g, 3);
         let mut outputs = vec![false; g.n()];
-        let cfg = FastConfig::default();
         let first: Vec<VertexId> = (0..5).collect();
         let other: Vec<VertexId> = (5..10).collect();
         let mut fv: Option<SupportVerifier> = None;
@@ -808,7 +630,6 @@ mod tests {
             Ratio::from_int(2),
             &bounds,
             &outputs,
-            &cfg,
             Some(&mut fv),
         );
         assert!(i1.used_flow && !i1.memo_hit);
@@ -819,7 +640,6 @@ mod tests {
             Ratio::new(3, 2),
             &bounds,
             &outputs,
-            &cfg,
             Some(&mut fv),
         );
         assert!(i2.used_flow && !i2.memo_hit);
@@ -835,7 +655,6 @@ mod tests {
             Ratio::from_int(2),
             &bounds,
             &outputs,
-            &cfg,
             Some(&mut fv),
         );
         assert!(i3.used_flow && i3.memo_hit && i3.early_reject, "{i3:?}");
@@ -848,21 +667,12 @@ mod tests {
             Ratio::from_int(2),
             &bounds,
             &outputs,
-            &cfg,
             Some(&mut None),
         );
         assert!(!fi.memo_hit);
         assert_eq!(v3, fresh, "memo verdict differs from a fresh network");
-        let (oracle, _) = verify_fast_with(
-            &g,
-            &cs,
-            &first,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &cfg,
-            None,
-        );
+        let (oracle, _) =
+            verify_fast_with(&g, &cs, &first, Ratio::from_int(2), &bounds, &outputs, None);
         assert_eq!(v3, oracle, "memo verdict differs from the reduced network");
         // a ρ not seen before is a different key
         let (_, i4) = verify_fast_with(
@@ -872,7 +682,6 @@ mod tests {
             Ratio::new(7, 4),
             &bounds,
             &outputs,
-            &cfg,
             Some(&mut fv),
         );
         assert!(!i4.memo_hit);
@@ -921,26 +730,10 @@ mod tests {
             let mut fv: Option<SupportVerifier> = None;
             for comp in comps {
                 let by_basic = basic(&g, &cs, &comp, rho);
-                let (by_fast, _) = fast(
-                    &g,
-                    &cs,
-                    &comp,
-                    rho,
-                    &bounds,
-                    &outputs,
-                    &FastConfig::default(),
-                );
+                let (by_fast, _) = fast(&g, &cs, &comp, rho, &bounds, &outputs);
                 assert_eq!(by_basic, by_fast, "trial {trial}: candidate {comp:?}");
-                let (shared, _) = verify_fast_with(
-                    &g,
-                    &cs,
-                    &comp,
-                    rho,
-                    &bounds,
-                    &outputs,
-                    &FastConfig::default(),
-                    Some(&mut fv),
-                );
+                let (shared, _) =
+                    verify_fast_with(&g, &cs, &comp, rho, &bounds, &outputs, Some(&mut fv));
                 assert_eq!(by_fast, shared, "trial {trial}: shared {comp:?}");
             }
         }

@@ -3,16 +3,18 @@
 //! Exact max-flow / min-cut substrate for the LhCDS verification
 //! algorithms.
 //!
-//! The paper's flow networks (Figures 6 and 7) carry *rational*
-//! capacities: `ρ·h` with `ρ = |Ψh(S)|/|S| − 1/|V|²` and boundary-clique
-//! arcs `1 + (h−cnt)/cnt = h/cnt`. Exactness of the whole pipeline
-//! (Theorem 7) hinges on deciding these min-cuts without rounding, so:
+//! The paper's flow network (Figure 6) carries one *rational*
+//! capacity: the sink arcs' `ρ·h` with `ρ = |Ψh(S)|/|S| − 1/|V|²`; the
+//! clique-gadget capacities `1` and `h − 1` and the source arcs' clique
+//! degrees are integers. Exactness of the whole pipeline (Theorem 7)
+//! hinges on deciding these min-cuts without rounding, so:
 //!
 //! * [`rational::Ratio`] is a tiny exact rational on `i128` used to carry
 //!   densities and thresholds around the pipeline, and
-//! * [`dinic::Dinic`] runs on `i128` capacities; callers scale all
-//!   rational capacities by one exact common denominator (helpers in
-//!   [`rational`]) so flows are integers and min-cuts are exact.
+//! * [`dinic::Dinic`] runs on `i128` capacities; callers scale every
+//!   capacity by a multiple of `ρ`'s denominator
+//!   ([`ParametricNetwork::scale_for`]) so flows are integers and
+//!   min-cuts are exact.
 //!
 //! Both the *minimal* and the *maximal* source-side min-cut are exposed:
 //! `DeriveCompact` needs the largest subgraph attaining the optimum

@@ -28,20 +28,6 @@ pub fn gcd(a: i128, b: i128) -> i128 {
     a
 }
 
-/// Least common multiple. Panics on overflow in debug builds.
-pub fn lcm(a: i128, b: i128) -> i128 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    (a / gcd(a, b)) * b
-}
-
-/// `lcm(1..=h)` — the common denominator of the paper's boundary-clique
-/// capacities `h / cnt` for `cnt ∈ 1..=h`.
-pub fn lcm_up_to(h: u32) -> i128 {
-    (1..=h as i128).fold(1, lcm)
-}
-
 impl Ratio {
     /// Creates `num / den` in lowest terms.
     ///
@@ -240,15 +226,10 @@ mod tests {
     }
 
     #[test]
-    fn gcd_lcm_basics() {
+    fn gcd_basics() {
         assert_eq!(gcd(12, 18), 6);
         assert_eq!(gcd(0, 5), 5);
         assert_eq!(gcd(0, 0), 0);
-        assert_eq!(lcm(4, 6), 12);
-        assert_eq!(lcm(0, 3), 0);
-        assert_eq!(lcm_up_to(1), 1);
-        assert_eq!(lcm_up_to(5), 60);
-        assert_eq!(lcm_up_to(10), 2520);
     }
 
     #[test]

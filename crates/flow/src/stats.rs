@@ -21,7 +21,8 @@
 //!   [`FlowStats::cold_solves`] derives the historical cold total.
 //! * `scale_fallbacks` — [`crate::ParametricNetwork::scale_for`] calls
 //!   whose chained-lcm scale would have overflowed and restarted from
-//!   the base scale (each one forfeits warm starts; previously silent).
+//!   the threshold's own denominator (each one forfeits warm starts;
+//!   previously silent).
 //!
 //! All counters are monotone process-wide atomics with relaxed
 //! ordering: they are observability, never control flow. Callers that

@@ -2,7 +2,7 @@
 //! parametric-reuse equivalence, and exactness of the rational
 //! arithmetic.
 
-use lhcds_flow::{rational, Dinic, ParametricNetwork, Ratio};
+use lhcds_flow::{Dinic, ParametricNetwork, Ratio};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -89,9 +89,8 @@ proptest! {
         ),
     ) {
         let (s, t) = (0u32, (net.n - 1) as u32);
-        const BASE: i128 = 2;
-        let mut pn = ParametricNetwork::new(net.n, s, t, BASE);
-        // static arcs: the random net's arcs at base scale
+        let mut pn = ParametricNetwork::new(net.n, s, t);
+        // static arcs: the random net's arcs at unit scale
         for &(u, v, c) in &net.arcs {
             pn.add_static(u, v, c);
         }
@@ -105,16 +104,15 @@ proptest! {
         }
         for (caps_raw, den) in schedule {
             let scale = pn.scale_for(den);
-            prop_assert_eq!(scale % BASE, 0);
             prop_assert_eq!(scale % den, 0);
             let caps: Vec<i128> = (0..pn.param_count())
-                .map(|i| caps_raw[i % caps_raw.len()] * (scale / BASE))
+                .map(|i| caps_raw[i % caps_raw.len()] * scale)
                 .collect();
             pn.solve(scale, &caps);
 
             let mut d = Dinic::new(net.n);
             for &(u, v, c) in &net.arcs {
-                d.add_edge(u, v, c * (scale / BASE));
+                d.add_edge(u, v, c * scale);
             }
             for (i, &(u, v)) in param_ends.iter().enumerate() {
                 d.add_edge(u, v, caps[i]);
@@ -171,14 +169,5 @@ proptest! {
         let scale = r.den() * mult;
         let scaled = r.scale_to_int(scale);
         prop_assert_eq!(Ratio::new(scaled, scale), r);
-    }
-
-    /// lcm_up_to is divisible by every value in range.
-    #[test]
-    fn lcm_up_to_divisibility(h in 1u32..14) {
-        let l = rational::lcm_up_to(h);
-        for k in 1..=h as i128 {
-            prop_assert_eq!(l % k, 0);
-        }
     }
 }

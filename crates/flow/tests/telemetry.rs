@@ -13,11 +13,11 @@ use lhcds_flow::{flow_stats, Dinic, ParametricNetwork, SolveMode};
 static COUNTERS: Mutex<()> = Mutex::new(());
 
 /// s=0, vertices {1, 2}, gadget node 3, t=4 — the Figure 6 shape in
-/// miniature, at base scale 2.
+/// miniature, with static unit capacities 1 and 2.
 fn tiny() -> ParametricNetwork {
-    let mut pn = ParametricNetwork::new(5, 0, 4, 2);
-    pn.add_static(1, 3, 2);
-    pn.add_static(3, 2, 4);
+    let mut pn = ParametricNetwork::new(5, 0, 4);
+    pn.add_static(1, 3, 1);
+    pn.add_static(3, 2, 2);
     for (from, to) in [(0u32, 1u32), (0, 2), (1, 4), (2, 4)] {
         pn.add_parametric(from, to);
     }
