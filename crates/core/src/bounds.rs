@@ -79,9 +79,14 @@ impl Bounds {
 /// iterates accumulate at most a few ulps of drift per clique; `1e-6`
 /// dwarfs that while remaining far below the minimum density gap of any
 /// graph small enough to process (`1/n²`-scale gaps would need `n > 10³`
-/// interacting with ties to matter, and verification is exact anyway —
-/// slack only affects candidate ordering and pruning eagerness, not
-/// correctness of output).
+/// interacting with ties to matter).
+///
+/// The slack is part of correctness, not only of candidate ordering and
+/// pruning eagerness. The flow decides only what it is asked: the fast
+/// verifier's closure `T`, its shortcut accept and both Proposition 5
+/// prune rules act on these bounds alone. A bound that is wrong by more
+/// than the tolerances (this slack, and the fast verifier's `1e-9`
+/// around `ρ`) can therefore give a wrong answer that no max-flow sees.
 pub const DEFAULT_SLACK: f64 = 1e-6;
 
 /// Algorithm 1: initial bounds from the `(k, ψh)`-core decomposition.

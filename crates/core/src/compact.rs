@@ -24,21 +24,55 @@
 //! * the maximal source side at threshold `ρ − 1/n²` is the union of
 //!   all maximal `ρ`-compact subgraphs (Theorem 5).
 //!
+//! ## The last probe is the answer
+//! Write `f_ρ(A) = |Ψ(A)| − ρ|A|`. The Goldberg ladder of
+//! [`InstanceSolver::densest_decomposition`] stops at the first probe
+//! whose minimal maximizer is empty. There `max f_ρ = 0`: no set is
+//! denser than `ρ`, which is the density of a set the ladder found (or
+//! of the whole universe), so `ρ = ρ* = p/q` in lowest terms, with
+//! `q ≤ n`. The maximizers of `f_ρ*` are `∅` and the densest sets. They
+//! are closed under union, so the maximal source side of this probe is
+//! the largest densest set `L`.
+//!
+//! `DeriveCompact(ρ*)` reads the maximal side at `ρ' = ρ* − 1/n²`,
+//! where `f_ρ'(A) = f_ρ*(A) + |A|/n²`:
+//!
+//! * a densest `A` scores `|A|/n²`, so among them `L` alone is best;
+//! * any other `A` has `f_ρ*(A) = (q|Ψ(A)| − p|A|)/q ≤ −1/q ≤ −1/n`,
+//!   so `f_ρ'(A) ≤ −1/n + |A|/n² ≤ 0 < |L|/n²`.
+//!
+//! `L` is the unique maximizer at `ρ'`, so both maximal sides are `L`,
+//! and the ladder's last probe answers `DeriveCompact(ρ*)` with no
+//! further solve. (`ρ* ≥ 1/n > 1/n²`, so the clamp of `ρ'` at 0 never
+//! binds.)
+//!
+//! [`InstanceSolver::next_density_level`] ends the same way, over
+//! `A ⊇ F` (the forced set, pinned to the source side) with the
+//! marginal `g_ρ(A) = |Ψ(A)| − |Ψ(F)| − ρ(|A| − |F|)`. Its ladder stops
+//! at `ρ = best` when the minimal maximizer is `F` itself, so
+//! `max g = 0` and `best = p/q` with `q ≤ n' = n − |F|`. The maximizers
+//! are closed under union, and the largest, `L`, strictly contains `F`:
+//! it contains the set whose marginal density `best` is (the universe,
+//! if the first probe stops). At `best − 1/n²` a maximizer scores
+//! `(|A| − |F|)/n²`, so `L` is best among them, and any other `A` scores
+//! at most `−1/n' + n'/n² ≤ 0 < (|L| − |F|)/n²`.
+//!
 //! ## Network reuse
 //! Every routine above probes the *same* network at several thresholds:
-//! the Goldberg ladder of [`InstanceSolver::densest_decomposition`],
-//! the marginal-density iteration of
-//! [`InstanceSolver::next_density_level`], and the final ε-perturbed
-//! `DeriveCompact` all share the gadget arcs and differ only in the
-//! ρ-dependent terminal capacities. [`InstanceSolver`] therefore builds
-//! **one** [`ParametricNetwork`] per instance (lazily, on the first
-//! probe) and re-tunes it between solves, warm-starting from the
-//! retained residual flow when the change is monotone and retracting
-//! it along its own paths when a capacity decreases. Because
-//! minimal/maximal min-cut source sides are canonical
-//! (flow-independent) and uniform capacity scaling preserves them, the
-//! retained network answers exactly like a fresh one per probe —
-//! pinned against fresh solvers in this crate's integration tests.
+//! the Goldberg ladder of [`InstanceSolver::densest_decomposition`], the
+//! marginal-density iteration of
+//! [`InstanceSolver::next_density_level`], and the verifier's
+//! ε-perturbed `DeriveCompact` probes all share the gadget arcs and
+//! differ only in the ρ-dependent terminal capacities.
+//! [`InstanceSolver`] therefore builds **one** [`ParametricNetwork`] per
+//! instance (lazily, on the first probe) and re-tunes it between
+//! solves, warm-starting from the retained residual flow when the
+//! change is monotone and retracting it along its own paths when a
+//! capacity decreases. Because minimal/maximal min-cut source sides are
+//! canonical (flow-independent) and uniform capacity scaling preserves
+//! them, the retained network answers exactly like a fresh one per
+//! probe — pinned against fresh solvers in this crate's integration
+//! tests.
 //!
 //! ## Pinned vertices
 //! Two kinds of probe pin vertices to one side of every minimum cut,
@@ -209,10 +243,12 @@ impl InstanceSolver {
     /// Builds the arc structure once; capacities are installed per
     /// solve.
     fn build_network(inst: &LocalInstance) -> ParametricNetwork {
+        let sp = lhcds_obs::span("network");
         let n = inst.n;
         let h = inst.h as i128;
         let t = (1 + n + inst.clique_count()) as u32;
         let mut pn = ParametricNetwork::new(t as usize + 1, 0, t);
+        pn.reserve(2 * n + 2 * inst.full.len());
         // parametric arc layout: [0, n) = s→v; [n, 2n) = v→t
         for v in 0..n as u32 {
             pn.add_parametric(0, v + 1);
@@ -227,6 +263,8 @@ impl InstanceSolver {
                 pn.add_static(cnode, v + 1, h - 1);
             }
         }
+        pn.freeze();
+        sp.counter("arcs", pn.arc_count() as u64);
         pn
     }
 
@@ -255,6 +293,7 @@ impl InstanceSolver {
             Pins::Sink(f) if f[v] => inf,
             _ => vt_cap,
         }));
+        let _sp = lhcds_obs::span("max-flow");
         pn.solve(scale, &caps);
     }
 
@@ -316,8 +355,10 @@ impl InstanceSolver {
     /// holds no clique.
     ///
     /// The minimal maximizers are nested as `ρ` increases, so the
-    /// iteration performs at most `n` max-flows (2–5 in practice) — all
-    /// on the one retained network, warm-started while ρ climbs.
+    /// iteration performs at most `n` max-flows (1–4 in practice) — all
+    /// on the one retained network, warm-started while ρ climbs. The
+    /// last probe's maximal source side is `U` itself (module docs), so
+    /// no `DeriveCompact` solve follows.
     pub fn densest_decomposition(&mut self) -> Option<(Ratio, Vec<bool>)> {
         if self.instance().n == 0 || self.instance().clique_count() == 0 {
             return None;
@@ -340,7 +381,11 @@ impl InstanceSolver {
                 "densest-subgraph iteration failed to converge"
             );
         }
-        Some((rho, self.derive_compact(rho)))
+        // ρ = ρ*, and the last probe's maximal source side is already
+        // DeriveCompact(ρ*) (module docs, "The last probe is the
+        // answer").
+        let side = self.net.as_ref().expect("solved").max_cut_source_side();
+        Some((rho, self.vertex_side(&side)))
     }
 
     /// Marginal-density step of the dense decomposition: given the
@@ -397,8 +442,10 @@ impl InstanceSolver {
             assert!(guard <= n + 2, "marginal-density iteration diverged");
         }
 
-        // Largest maximizer at the final level (ε-perturbed threshold).
-        self.solve(perturbed(best, n), Pins::Source(forced));
+        // The largest maximizer at the final level: the last probe ran at
+        // ρ = best, where its maximal source side equals the
+        // ε-perturbed one (module docs, "The last probe is the answer").
+        debug_assert_eq!(rho, best);
         let side = self.net.as_ref().expect("solved").max_cut_source_side();
         let level: Vec<bool> = (0..n).map(|v| side[v + 1] && !forced[v]).collect();
         debug_assert!(level.iter().any(|&b| b), "level must be non-empty");

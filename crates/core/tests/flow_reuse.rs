@@ -84,11 +84,22 @@ fn check_reuse_invisible(g: &CsrGraph, h: usize) {
     }
 }
 
+/// What a workload's flow counters must show besides "no reset".
+enum FlowWork {
+    /// Strictly fewer networks than max-flows: the networks are reused.
+    Reused,
+    /// Exactly this many networks and max-flows.
+    Exactly { networks: u64, max_flows: u64 },
+}
+
 /// The production pipeline on a sparse planted-community graph (h = 3)
 /// and a dense random graph (h = 4): its output equals the
-/// per-candidate reference, it builds strictly fewer networks than it
-/// runs max-flows, and it never resets a retained flow — serially and
-/// with the speculative wave.
+/// per-candidate reference and it never resets a retained flow —
+/// serially and with the speculative wave. The planted graph builds
+/// strictly fewer networks than it runs max-flows. gnp(200, 0.2) is one
+/// local decomposition whose first probe at the graph's own density
+/// finds no denser set, and that probe's maximal cut is the answer: one
+/// network, one max-flow.
 #[test]
 fn production_pipeline_reuses_networks_and_matches_the_reference() {
     let _quiet = quiet_counters();
@@ -102,10 +113,19 @@ fn production_pipeline_reuses_networks_and_matches_the_reference() {
                 0xF10,
             ),
             3,
+            FlowWork::Reused,
         ),
-        ("gnp_200_p20", lhcds_data::gen::gnp(200, 0.2, 0xF10), 4),
+        (
+            "gnp_200_p20",
+            lhcds_data::gen::gnp(200, 0.2, 0xF10),
+            4,
+            FlowWork::Exactly {
+                networks: 1,
+                max_flows: 1,
+            },
+        ),
     ];
-    for (name, g, h) in &workloads {
+    for (name, g, h, work) in &workloads {
         let reference = top_k_reference(g, *h, usize::MAX, &cfg(true, Parallelism::serial()));
         assert!(!reference.subgraphs.is_empty(), "{name}");
         for threads in [1usize, 2] {
@@ -116,12 +136,22 @@ fn production_pipeline_reuses_networks_and_matches_the_reference() {
                 res.subgraphs, reference.subgraphs,
                 "{name} threads={threads}: output diverged from the reference"
             );
-            assert!(
-                d.networks_built < d.max_flow_invocations,
-                "{name} threads={threads}: {} networks for {} max-flows",
-                d.networks_built,
-                d.max_flow_invocations
-            );
+            match *work {
+                FlowWork::Reused => assert!(
+                    d.networks_built < d.max_flow_invocations,
+                    "{name} threads={threads}: {} networks for {} max-flows",
+                    d.networks_built,
+                    d.max_flow_invocations
+                ),
+                FlowWork::Exactly {
+                    networks,
+                    max_flows,
+                } => assert_eq!(
+                    (d.networks_built, d.max_flow_invocations),
+                    (networks, max_flows),
+                    "{name} threads={threads}: networks and max-flows — {d:?}"
+                ),
+            }
             assert_eq!(
                 d.infeasible_reset, 0,
                 "{name} threads={threads}: a retained flow was reset — {d:?}"
@@ -252,8 +282,46 @@ fn mixed_threshold_schedule_matches_fresh_solvers() {
     assert_eq!(d.infeasible_reset, 0, "{d:?}");
 }
 
+/// `densest_decomposition` reads `U` off its last probe at `ρ*`; a
+/// fresh solver's `DeriveCompact(ρ*)` at the perturbed threshold must
+/// keep the same vertices (`compact.rs`, "The last probe is the
+/// answer").
+fn last_probe_is_derive_compact(
+    g: &CsrGraph,
+    h: usize,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let cliques = lhcds_clique::CliqueSet::enumerate(g, h);
+    let all: Vec<VertexId> = g.vertices().collect();
+    let (inst, _) = local_instance(&cliques, &all);
+    match InstanceSolver::new(inst.clone()).densest_decomposition() {
+        None => prop_assert!(cliques.is_empty()),
+        Some((rho, members)) => {
+            prop_assert_eq!(members, InstanceSolver::new(inst).derive_compact(rho));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn last_probe_is_derive_compact_h2(bits in prop::collection::vec(prop::bool::weighted(0.35), 36)) {
+        let _quiet = quiet_counters();
+        last_probe_is_derive_compact(&graph_from_bits(9, &bits), 2)?;
+    }
+
+    #[test]
+    fn last_probe_is_derive_compact_h3(bits in prop::collection::vec(prop::bool::weighted(0.45), 45)) {
+        let _quiet = quiet_counters();
+        last_probe_is_derive_compact(&graph_from_bits(10, &bits), 3)?;
+    }
+
+    #[test]
+    fn last_probe_is_derive_compact_h4(bits in prop::collection::vec(prop::bool::weighted(0.55), 45)) {
+        let _quiet = quiet_counters();
+        last_probe_is_derive_compact(&graph_from_bits(10, &bits), 4)?;
+    }
 
     /// Random graphs, h = 3: production against the reference.
     #[test]

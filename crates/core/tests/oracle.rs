@@ -212,6 +212,15 @@ mod phi_oracle {
             prop_assert_eq!(exact, brute);
         }
 
+        /// h = 4, where one clique spans half of the 8 vertices.
+        #[test]
+        fn compact_numbers_match_bruteforce_h4(bits in prop::collection::vec(prop::bool::weighted(0.6), 28)) {
+            let g = graph_from_bits(8, &bits);
+            let exact = compact_numbers(&g, 4);
+            let brute = compact_numbers_bruteforce(&g, 4);
+            prop_assert_eq!(exact, brute);
+        }
+
         #[test]
         fn compact_numbers_match_bruteforce_h2(bits in prop::collection::vec(prop::bool::weighted(0.4), 28)) {
             let g = graph_from_bits(8, &bits);

@@ -1,8 +1,38 @@
-//! Dinic's maximum-flow algorithm on `i128` capacities.
+//! Dinic's maximum-flow algorithm on `i128` capacities, in CSR form.
 //!
-//! Standard level-graph + blocking-flow implementation with paired arcs
-//! (`e ^ 1` is the reverse of `e`). In addition to the flow value it
-//! exposes both canonical minimum cuts:
+//! ## Layout
+//!
+//! [`Dinic::add_edge`] only stages an arc (`from`, `to`, `cap`).
+//! The freeze — run by the first [`Dinic::max_flow`], or earlier by
+//! [`crate::ParametricNetwork::freeze`] — lays the arcs out once, by a
+//! stable counting sort on the tail node, in compressed-sparse-row form
+//! with struct-of-arrays columns over *slots* (an arc pair occupies two
+//! slots: the arc itself and its reverse residual arc):
+//!
+//! * `first[v] .. first[v + 1]` — node `v`'s slots: its out-arcs and the
+//!   reverse arcs of its in-arcs, in `add_edge` order;
+//! * `to[e]` — the slot's head node (`u32`);
+//! * `rev[e]` — the paired slot (`u32`);
+//! * `cap[e]` — the residual capacity (`i128`); a reverse slot's
+//!   residual is the flow its forward arc carries.
+//!
+//! A slot costs 24 bytes, contiguous per node, and the adjacency needs
+//! no per-node allocation. The [`ArcId`] that `add_edge` returns is the
+//! arc's insertion index; a pair→slot column maps it to its forward
+//! slot, so ids stay valid across the freeze.
+//!
+//! ## Solving
+//!
+//! Each phase builds BFS levels over a flat queue, stopping once the
+//! sink's level is complete, then finds a blocking flow by an iterative
+//! DFS with current-arc pointers: after each augmentation it retreats
+//! only to the tail of the first arc the augmentation saturated. Both
+//! searches skip nodes at or past the sink's level, which cannot reach
+//! it. This pushes exactly the augmenting paths of the textbook
+//! recursive DFS, in the same order, without the recursion.
+//!
+//! Besides the flow value the solver exposes both canonical minimum
+//! cuts:
 //!
 //! * [`Dinic::min_cut_source_side`] — vertices reachable from `s` in the
 //!   residual graph (the inclusion-*minimal* source side), and
@@ -13,16 +43,13 @@
 //! the union of all maximal `ρ`-compact subgraphs is the *largest*
 //! maximizer of `|Ψh(S)| − ρ|S|`.
 
+use std::sync::atomic::Ordering;
+
 use crate::stats;
 
-/// Arc identifier returned by [`Dinic::add_edge`].
+/// Arc identifier returned by [`Dinic::add_edge`]: the arc's insertion
+/// index.
 pub type ArcId = usize;
-
-#[derive(Debug, Clone)]
-struct Arc {
-    to: u32,
-    cap: i128,
-}
 
 /// Max-flow solver. Build the network with [`Dinic::add_edge`], then call
 /// [`Dinic::max_flow`]; cut queries are valid afterwards.
@@ -30,44 +57,87 @@ struct Arc {
 /// The solver is *restartable*: [`Dinic::max_flow`] always continues
 /// from whatever feasible flow the network currently holds, and
 /// [`crate::ParametricNetwork`] re-tunes capacities and retained flow
-/// between solves (warm starts, retraction, cold restarts) through the
-/// crate-internal `set_state` / `retract_arc` primitives. BFS/DFS scratch state (`level`, `iter`, the
-/// BFS queue) lives in the struct and is reused across solves — a
-/// network that is solved at many thresholds allocates its scratch
-/// once.
+/// between solves (warm starts, retraction, cold restarts) through
+/// crate-internal primitives. BFS/DFS scratch state (levels, current-arc
+/// pointers, the BFS queue, the DFS path) lives in the struct and is
+/// reused across solves — a network that is solved at many thresholds
+/// allocates its scratch once, at the freeze.
 #[derive(Debug, Clone)]
 pub struct Dinic {
-    arcs: Vec<Arc>,
-    adj: Vec<Vec<u32>>,
+    n: usize,
+    /// Staged arcs, moved into the CSR columns by `Dinic::freeze`.
+    stage_from: Vec<u32>,
+    stage_to: Vec<u32>,
+    stage_cap: Vec<i128>,
+    frozen: bool,
+    first: Vec<u32>,
+    to: Vec<u32>,
+    rev: Vec<u32>,
+    cap: Vec<i128>,
+    /// Forward slot of every arc, by [`ArcId`].
+    slot: Vec<u32>,
+    /// Bit `e` is set iff slot `e` is a reverse arc.
+    reverse: Vec<u64>,
     level: Vec<u32>,
-    iter: Vec<usize>,
-    queue: std::collections::VecDeque<u32>,
+    /// Current-arc pointer (a slot) per node.
+    cur: Vec<u32>,
+    queue: Vec<u32>,
+    /// DFS path: the slots from `s` to the node being explored.
+    path: Vec<u32>,
     // Generation-stamped scratch for retraction walks: node v is on the
     // current walk iff walk_gen[v] == gen, at path position walk_pos[v].
     walk_gen: Vec<u64>,
-    walk_pos: Vec<usize>,
+    walk_pos: Vec<u32>,
     gen: u64,
 }
 
 impl Dinic {
     /// Creates a network with `n` nodes (ids `0..n`).
     pub fn new(n: usize) -> Self {
-        stats::NETWORKS_BUILT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        assert!(n < u32::MAX as usize, "too many nodes for u32 ids");
+        stats::NETWORKS_BUILT.fetch_add(1, Ordering::Relaxed);
         Dinic {
-            arcs: Vec::new(),
-            adj: vec![Vec::new(); n],
-            level: vec![0; n],
-            iter: vec![0; n],
-            queue: std::collections::VecDeque::new(),
-            walk_gen: vec![0; n],
-            walk_pos: vec![0; n],
+            n,
+            stage_from: Vec::new(),
+            stage_to: Vec::new(),
+            stage_cap: Vec::new(),
+            frozen: false,
+            first: Vec::new(),
+            to: Vec::new(),
+            rev: Vec::new(),
+            cap: Vec::new(),
+            slot: Vec::new(),
+            reverse: Vec::new(),
+            level: Vec::new(),
+            cur: Vec::new(),
+            queue: Vec::new(),
+            path: Vec::new(),
+            walk_gen: Vec::new(),
+            walk_pos: Vec::new(),
             gen: 0,
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.n
+    }
+
+    /// Number of arcs added (reverse arcs not counted).
+    pub(crate) fn arc_count(&self) -> usize {
+        if self.frozen {
+            self.slot.len()
+        } else {
+            self.stage_from.len()
+        }
+    }
+
+    /// Reserves room for `additional` more arcs, so a builder that knows
+    /// its arc count stages them without regrowing.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.stage_from.reserve_exact(additional);
+        self.stage_to.reserve_exact(additional);
+        self.stage_cap.reserve_exact(additional);
     }
 
     /// Adds a directed arc `from -> to` with capacity `cap` (and its
@@ -75,80 +145,198 @@ impl Dinic {
     /// residual capacity can later be read with [`Dinic::residual`].
     ///
     /// # Panics
-    /// Panics on negative capacity or out-of-range endpoints.
+    /// Panics on negative capacity, out-of-range endpoints, or a network
+    /// that is already frozen.
     pub fn add_edge(&mut self, from: u32, to: u32, cap: i128) -> ArcId {
         assert!(cap >= 0, "negative capacity");
-        assert!((from as usize) < self.adj.len() && (to as usize) < self.adj.len());
-        stats::ARCS_BUILT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let id = self.arcs.len();
-        self.arcs.push(Arc { to, cap });
-        self.arcs.push(Arc { to: from, cap: 0 });
-        self.adj[from as usize].push(id as u32);
-        self.adj[to as usize].push(id as u32 + 1);
-        id
+        assert!((from as usize) < self.n && (to as usize) < self.n);
+        assert!(
+            !self.frozen,
+            "arcs must be added before the network is frozen"
+        );
+        stats::ARCS_BUILT.fetch_add(1, Ordering::Relaxed);
+        self.stage_from.push(from);
+        self.stage_to.push(to);
+        self.stage_cap.push(cap);
+        self.stage_from.len() - 1
+    }
+
+    /// Lays the staged arcs out in CSR form (module docs) and allocates
+    /// the solve scratch. Idempotent; [`Dinic::max_flow`] calls it, so
+    /// [`crate::ParametricNetwork::freeze`] only calls it to pay the
+    /// layout cost at a point of its builder's choosing. No arc can be
+    /// added afterwards.
+    pub(crate) fn freeze(&mut self) {
+        if self.frozen {
+            return;
+        }
+        self.frozen = true;
+        let n = self.n;
+        let slots = 2 * self.stage_from.len();
+        assert!(slots < u32::MAX as usize, "too many arcs for u32 slot ids");
+        let mut first = vec![0u32; n + 1];
+        for (&u, &v) in self.stage_from.iter().zip(&self.stage_to) {
+            first[u as usize + 1] += 1;
+            first[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            first[v + 1] += first[v];
+        }
+        // Stable placement: each node's slots keep add_edge order.
+        let mut fill = first[..n].to_vec();
+        let mut to = vec![0u32; slots];
+        let mut rev = vec![0u32; slots];
+        let mut reverse = vec![0u64; slots.div_ceil(64)];
+        let mut slot = Vec::with_capacity(self.stage_from.len());
+        for (&u, &v) in self.stage_from.iter().zip(&self.stage_to) {
+            let f = fill[u as usize];
+            fill[u as usize] += 1;
+            let r = fill[v as usize];
+            fill[v as usize] += 1;
+            to[f as usize] = v;
+            to[r as usize] = u;
+            rev[f as usize] = r;
+            rev[r as usize] = f;
+            reverse[r as usize / 64] |= 1 << (r % 64);
+            slot.push(f);
+        }
+        // Release the staged endpoints before the widest column exists.
+        self.stage_from = Vec::new();
+        self.stage_to = Vec::new();
+        let mut cap = vec![0i128; slots];
+        for (&f, &c) in slot.iter().zip(&self.stage_cap) {
+            cap[f as usize] = c;
+        }
+        self.stage_cap = Vec::new();
+        self.first = first;
+        self.to = to;
+        self.rev = rev;
+        self.cap = cap;
+        self.slot = slot;
+        self.reverse = reverse;
+        self.level = vec![u32::MAX; n];
+        self.cur = vec![0; n];
+        self.queue = Vec::with_capacity(n);
+        self.walk_gen = vec![0; n];
+        self.walk_pos = vec![0; n];
+    }
+
+    fn slots_of(&self, v: u32) -> std::ops::Range<usize> {
+        self.first[v as usize] as usize..self.first[v as usize + 1] as usize
+    }
+
+    fn is_reverse(&self, e: usize) -> bool {
+        (self.reverse[e / 64] >> (e % 64)) & 1 == 1
+    }
+
+    fn assert_frozen(&self) {
+        assert!(self.frozen, "cut queries need a solved network");
     }
 
     /// Remaining capacity of arc `id`.
     pub fn residual(&self, id: ArcId) -> i128 {
-        self.arcs[id].cap
+        if self.frozen {
+            self.cap[self.slot[id] as usize]
+        } else {
+            self.stage_cap[id]
+        }
     }
 
-    /// Flow currently carried by forward arc `id` (an even id returned
-    /// by [`Dinic::add_edge`]): the residual of its paired reverse arc,
-    /// whose initial capacity is always 0.
+    /// Flow currently carried by arc `id`: the residual of its paired
+    /// reverse arc, whose initial capacity is always 0.
     pub fn current_flow(&self, id: ArcId) -> i128 {
-        debug_assert!(id.is_multiple_of(2), "flow is tracked on forward arcs");
-        self.arcs[id ^ 1].cap
+        if self.frozen {
+            self.slot_flow(self.slot[id] as usize)
+        } else {
+            0
+        }
     }
 
-    /// Sets forward arc `id` to total capacity `cap` carrying exactly
-    /// `flow` (`0 ≤ flow ≤ cap`). Used by the parametric warm start to
-    /// install a rescaled retained flow; callers must keep the overall
+    /// Flow carried by the arc at forward slot `f`.
+    fn slot_flow(&self, f: usize) -> i128 {
+        self.cap[self.rev[f] as usize]
+    }
+
+    /// Sets arc `id` to total capacity `cap` carrying exactly `flow`
+    /// (`0 ≤ flow ≤ cap`). Used by the parametric warm start to install
+    /// a rescaled retained flow; callers must keep the overall
     /// assignment a conserving s–t flow.
     pub(crate) fn set_state(&mut self, id: ArcId, cap: i128, flow: i128) {
-        debug_assert!(id.is_multiple_of(2));
         debug_assert!(flow >= 0 && flow <= cap);
-        self.arcs[id].cap = cap - flow;
-        self.arcs[id ^ 1].cap = flow;
+        self.freeze();
+        let f = self.slot[id] as usize;
+        self.cap[f] = cap - flow;
+        self.cap[self.rev[f] as usize] = flow;
+    }
+
+    /// Multiplies every residual — every arc's remaining capacity and
+    /// carried flow — by `q > 0`: the same flow on the network with all
+    /// capacities scaled by `q`. The caller guarantees no product
+    /// overflows.
+    pub(crate) fn scale_in_place(&mut self, q: i128) {
+        debug_assert!(q > 0);
+        self.freeze();
+        for c in &mut self.cap {
+            *c *= q;
+        }
+    }
+
+    /// Discards the flow and moves every arc from capacity scale `from`
+    /// to scale `to`: an arc of total capacity `c·from` gets `c·to`
+    /// (every total must be a multiple of `from`).
+    pub(crate) fn reset_rescaled(&mut self, from: i128, to: i128) {
+        debug_assert!(from > 0 && to > 0);
+        self.freeze();
+        for i in 0..self.slot.len() {
+            let f = self.slot[i] as usize;
+            let r = self.rev[f] as usize;
+            let total = self.cap[f] + self.cap[r];
+            debug_assert_eq!(total % from, 0, "capacity off the scale");
+            self.cap[f] = total / from * to;
+            self.cap[r] = 0;
+        }
     }
 
     /// Net flow currently entering node `v` (inflow minus outflow over
     /// all incident arcs). Zero at every inner node of a conserving
     /// flow; at the sink it equals the total flow value.
     pub fn net_flow_into(&self, v: u32) -> i128 {
+        if !self.frozen {
+            return 0;
+        }
         let mut net = 0i128;
-        for &eid in &self.adj[v as usize] {
-            let eid = eid as usize;
-            if eid & 1 == 1 {
+        for e in self.slots_of(v) {
+            if self.is_reverse(e) {
                 // reverse of an arc into v: its residual is that arc's flow
-                net += self.arcs[eid].cap;
+                net += self.cap[e];
             } else {
                 // forward arc out of v: its flow is the pair's residual
-                net -= self.arcs[eid ^ 1].cap;
+                net -= self.slot_flow(e);
             }
         }
         net
     }
 
-    /// Lowers the *total* capacity of forward arc `id` to `cap` while
-    /// keeping the network a valid conserving `s`–`t` flow: any excess
-    /// the arc carried beyond `cap` is cancelled along the retained
-    /// flow's own support paths — backwards from the arc's tail towards
-    /// `s`, forwards from its head towards `t`, or around flow cycles —
-    /// so [`Dinic::max_flow`] can continue warm from the result. This is
+    /// Lowers the *total* capacity of arc `id` to `cap` while keeping
+    /// the network a valid conserving `s`–`t` flow: any excess the arc
+    /// carried beyond `cap` is cancelled along the retained flow's own
+    /// support paths — backwards from the arc's tail towards `s`,
+    /// forwards from its head towards `t`, or around flow cycles — so
+    /// [`Dinic::max_flow`] can continue warm from the result. This is
     /// the never-reset primitive of Gallo–Grigoriadis–Tarjan: the work
     /// is proportional to the flow cancelled rather than the network
     /// size.
     pub(crate) fn retract_arc(&mut self, id: ArcId, cap: i128, s: u32, t: u32) {
-        debug_assert!(id.is_multiple_of(2) && cap >= 0);
+        debug_assert!(cap >= 0);
         let flow = self.current_flow(id);
         if flow <= cap {
             self.set_state(id, cap, flow);
             return;
         }
         let excess = flow - cap;
-        let head = self.arcs[id].to;
-        let tail = self.arcs[id ^ 1].to;
+        let f = self.slot[id] as usize;
+        let head = self.to[f];
+        let tail = self.to[self.rev[f] as usize];
         self.set_state(id, cap, cap);
         // `tail` now has `excess` more inflow than outflow, `head` the
         // reverse (the source/sink absorb imbalance by definition).
@@ -206,10 +394,10 @@ impl Dinic {
         self.gen += 1;
         self.walk_gen[start as usize] = self.gen;
         self.walk_pos[start as usize] = 0;
-        // path[k] is the forward arc between walk nodes k and k+1
+        // path[k] is the forward slot between walk nodes k and k+1
         // (carrying flow towards node k when walking backward, away
         // from it when walking forward).
-        let mut path: Vec<ArcId> = Vec::new();
+        let mut path: Vec<usize> = Vec::new();
         let mut v = start;
         loop {
             if v == stop || alt == Some(v) {
@@ -219,100 +407,154 @@ impl Dinic {
                 } else {
                     limit
                 };
-                for &a in &path {
-                    m = m.min(self.current_flow(a));
+                for &f in &path {
+                    m = m.min(self.slot_flow(f));
                 }
                 debug_assert!(m > 0, "retraction walk cancelled nothing");
-                for &a in &path {
-                    self.cancel_flow(a, m);
+                for &f in &path {
+                    self.cancel_flow(f, m);
                 }
                 return (m, ended_at_alt);
             }
-            let mut next_arc = None;
-            for &eid in &self.adj[v as usize] {
-                let eid = eid as usize;
-                let is_in_arc = (eid & 1) == 1;
-                if is_in_arc == backward && self.arcs[if backward { eid } else { eid ^ 1 }].cap > 0
-                {
-                    next_arc = Some(if backward { eid ^ 1 } else { eid });
-                    break;
-                }
-            }
-            let fwd = next_arc.expect("conservation guarantees a support arc");
+            // An in-arc of v is a reverse slot whose residual (the
+            // forward arc's flow) is positive; an out-arc is a forward
+            // slot whose pair's residual is.
+            let fwd = self
+                .slots_of(v)
+                .find(|&e| {
+                    self.is_reverse(e) == backward
+                        && self.cap[if backward { e } else { self.rev[e] as usize }] > 0
+                })
+                .map(|e| if backward { self.rev[e] as usize } else { e })
+                .expect("conservation guarantees a support arc");
             let w = if backward {
-                self.arcs[fwd ^ 1].to // the forward arc's tail
+                self.to[self.rev[fwd] as usize] // the forward arc's tail
             } else {
-                self.arcs[fwd].to
+                self.to[fwd]
             };
             if self.walk_gen[w as usize] == self.gen {
                 // flow cycle: path[pos(w)..] plus fwd closes it
-                let i = self.walk_pos[w as usize];
-                let mut m = self.current_flow(fwd);
-                for &a in &path[i..] {
-                    m = m.min(self.current_flow(a));
+                let i = self.walk_pos[w as usize] as usize;
+                let mut m = self.slot_flow(fwd);
+                for &f in &path[i..] {
+                    m = m.min(self.slot_flow(f));
                 }
                 self.cancel_flow(fwd, m);
-                for &a in &path[i..] {
-                    self.cancel_flow(a, m);
+                for &f in &path[i..] {
+                    self.cancel_flow(f, m);
                 }
                 return (0, false);
             }
             path.push(fwd);
             self.walk_gen[w as usize] = self.gen;
-            self.walk_pos[w as usize] = path.len();
+            self.walk_pos[w as usize] = path.len() as u32;
             v = w;
         }
     }
 
-    /// Removes `m` units of flow from forward arc `id`.
-    fn cancel_flow(&mut self, id: ArcId, m: i128) {
-        self.arcs[id].cap += m;
-        self.arcs[id ^ 1].cap -= m;
-        debug_assert!(self.arcs[id ^ 1].cap >= 0, "cancelled more than carried");
+    /// Removes `m` units of flow from the arc at forward slot `f`.
+    fn cancel_flow(&mut self, f: usize, m: i128) {
+        let r = self.rev[f] as usize;
+        self.cap[f] += m;
+        self.cap[r] -= m;
+        debug_assert!(self.cap[r] >= 0, "cancelled more than carried");
     }
 
+    /// BFS levels from `s` over positive residuals. Stops once the
+    /// sink's level is complete: no node at or beyond it can lie on a
+    /// shortest augmenting path.
     fn bfs(&mut self, s: u32, t: u32) -> bool {
         let Dinic {
-            arcs,
-            adj,
+            first,
+            to,
+            cap,
             level,
             queue,
             ..
         } = self;
-        level.iter_mut().for_each(|l| *l = u32::MAX);
+        level.fill(u32::MAX);
         queue.clear();
         level[s as usize] = 0;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            for &eid in &adj[v as usize] {
-                let arc = &arcs[eid as usize];
-                if arc.cap > 0 && level[arc.to as usize] == u32::MAX {
-                    level[arc.to as usize] = level[v as usize] + 1;
-                    queue.push_back(arc.to);
+        queue.push(s);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            let lv = level[v as usize];
+            if lv >= level[t as usize] {
+                break;
+            }
+            for e in first[v as usize] as usize..first[v as usize + 1] as usize {
+                let w = to[e] as usize;
+                if cap[e] > 0 && level[w] == u32::MAX {
+                    level[w] = lv + 1;
+                    queue.push(w as u32);
                 }
             }
         }
         level[t as usize] != u32::MAX
     }
 
-    fn dfs(&mut self, v: u32, t: u32, pushed: i128) -> i128 {
-        if v == t {
-            return pushed;
-        }
-        while self.iter[v as usize] < self.adj[v as usize].len() {
-            let eid = self.adj[v as usize][self.iter[v as usize]] as usize;
-            let (to, cap) = (self.arcs[eid].to, self.arcs[eid].cap);
-            if cap > 0 && self.level[to as usize] == self.level[v as usize] + 1 {
-                let d = self.dfs(to, t, pushed.min(cap));
-                if d > 0 {
-                    self.arcs[eid].cap -= d;
-                    self.arcs[eid ^ 1].cap += d;
-                    return d;
+    /// One blocking flow on the current level graph by iterative DFS
+    /// with current-arc pointers; returns the flow it pushed.
+    fn blocking_flow(&mut self, s: u32, t: u32) -> i128 {
+        let Dinic {
+            n,
+            first,
+            to,
+            rev,
+            cap,
+            level,
+            cur,
+            path,
+            ..
+        } = self;
+        cur.copy_from_slice(&first[..*n]);
+        path.clear();
+        let lt = level[t as usize];
+        let mut pushed = 0i128;
+        let mut v = s;
+        loop {
+            if v == t {
+                let d = path.iter().map(|&e| cap[e as usize]).min().expect("s != t");
+                for &e in path.iter() {
+                    cap[e as usize] -= d;
+                    cap[rev[e as usize] as usize] += d;
                 }
+                pushed += d;
+                // Resume at the tail of the first saturated arc: the
+                // prefix before it is still a valid level-graph path.
+                let k = path
+                    .iter()
+                    .position(|&e| cap[e as usize] == 0)
+                    .expect("the bottleneck saturates");
+                path.truncate(k);
+                v = path.last().map_or(s, |&e| to[e as usize]);
+                continue;
             }
-            self.iter[v as usize] += 1;
+            let lv = level[v as usize];
+            let end = first[v as usize + 1];
+            let mut e = cur[v as usize];
+            while e < end {
+                let w = to[e as usize];
+                // below the sink's level any next-level node may lead
+                // on; at it, only the sink itself
+                if cap[e as usize] > 0 && level[w as usize] == lv + 1 && (lv + 1 < lt || w == t) {
+                    break;
+                }
+                e += 1;
+            }
+            cur[v as usize] = e;
+            if e < end {
+                path.push(e);
+                v = to[e as usize];
+            } else {
+                // dead end: retreat and skip the arc that led here
+                let Some(back) = path.pop() else { break };
+                v = to[rev[back as usize] as usize];
+                cur[v as usize] += 1;
+            }
         }
-        0
+        pushed
     }
 
     /// Computes the maximum `s`–`t` flow, continuing from whatever
@@ -321,17 +563,11 @@ impl Dinic {
     /// queries below always describe the resulting maximum flow.
     pub fn max_flow(&mut self, s: u32, t: u32) -> i128 {
         assert_ne!(s, t, "source equals sink");
-        stats::MAX_FLOW_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        stats::MAX_FLOW_CALLS.fetch_add(1, Ordering::Relaxed);
+        self.freeze();
         let mut flow = 0i128;
         while self.bfs(s, t) {
-            self.iter.iter_mut().for_each(|i| *i = 0);
-            loop {
-                let f = self.dfs(s, t, i128::MAX);
-                if f == 0 {
-                    break;
-                }
-                flow += f;
-            }
+            flow += self.blocking_flow(s, t);
         }
         flow
     }
@@ -339,16 +575,16 @@ impl Dinic {
     /// Minimal source side of a minimum cut: nodes reachable from `s` in
     /// the residual graph. Call after [`Dinic::max_flow`].
     pub fn min_cut_source_side(&self, s: u32) -> Vec<bool> {
-        let mut seen = vec![false; self.adj.len()];
-        let mut queue = std::collections::VecDeque::new();
+        self.assert_frozen();
+        let mut seen = vec![false; self.n];
+        let mut queue = vec![s];
         seen[s as usize] = true;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            for &eid in &self.adj[v as usize] {
-                let arc = &self.arcs[eid as usize];
-                if arc.cap > 0 && !seen[arc.to as usize] {
-                    seen[arc.to as usize] = true;
-                    queue.push_back(arc.to);
+        while let Some(v) = queue.pop() {
+            for e in self.slots_of(v) {
+                let w = self.to[e] as usize;
+                if self.cap[e] > 0 && !seen[w] {
+                    seen[w] = true;
+                    queue.push(w as u32);
                 }
             }
         }
@@ -359,21 +595,18 @@ impl Dinic {
     /// nodes that can reach `t` in the residual graph. Call after
     /// [`Dinic::max_flow`].
     pub fn max_cut_source_side(&self, t: u32) -> Vec<bool> {
-        // Backward BFS from t across arcs with positive residual pointing
-        // *into* the current set: arc (w -> v) is usable iff its residual
-        // is positive; it lives as the pair of some arc in adj[v].
-        let mut reaches_t = vec![false; self.adj.len()];
-        let mut queue = std::collections::VecDeque::new();
+        self.assert_frozen();
+        // Backward search from t: slot e (v -> w) has pair w -> v, which
+        // is usable iff the pair's residual is positive.
+        let mut reaches_t = vec![false; self.n];
+        let mut queue = vec![t];
         reaches_t[t as usize] = true;
-        queue.push_back(t);
-        while let Some(v) = queue.pop_front() {
-            for &eid in &self.adj[v as usize] {
-                // eid: v -> w; its pair (eid ^ 1): w -> v.
-                let w = self.arcs[eid as usize].to;
-                let pair = (eid ^ 1) as usize;
-                if self.arcs[pair].cap > 0 && !reaches_t[w as usize] {
-                    reaches_t[w as usize] = true;
-                    queue.push_back(w);
+        while let Some(v) = queue.pop() {
+            for e in self.slots_of(v) {
+                let w = self.to[e] as usize;
+                if self.cap[self.rev[e] as usize] > 0 && !reaches_t[w] {
+                    reaches_t[w] = true;
+                    queue.push(w as u32);
                 }
             }
         }

@@ -14,7 +14,12 @@
 //! * [`dinic::Dinic`] runs on `i128` capacities; callers scale every
 //!   capacity by a multiple of `ρ`'s denominator
 //!   ([`ParametricNetwork::scale_for`]) so flows are integers and
-//!   min-cuts are exact.
+//!   min-cuts are exact. Arcs are staged by `add_edge` and frozen once
+//!   into CSR form: `u32` `first` / `to` / `rev` columns and one `i128`
+//!   residual column, laid out by a counting sort. The blocking-flow DFS
+//!   is iterative, with current-arc pointers. An arc costs two 24-byte
+//!   slots, a 4-byte id→slot entry and two direction bits, with no
+//!   per-node allocation.
 //!
 //! Both the *minimal* and the *maximal* source-side min-cut are exposed:
 //! `DeriveCompact` needs the largest subgraph attaining the optimum
@@ -26,7 +31,9 @@
 //! solves: monotone capacity changes warm-start from the previous
 //! residual flow, and capacity *decreases* keep it too, cancelling only
 //! the infeasible excess along the flow's own paths
-//! (`Dinic::retract_arc`) instead of resetting it.
+//! (`Dinic::retract_arc`) instead of resetting it. The static
+//! capacities live only in the network and are rescaled in place, so
+//! no per-arc copy of them is kept.
 //! [`stats::flow_stats`] exposes the process-wide work counters
 //! (networks/arcs built, flow invocations, warm/retract/cold solves)
 //! that pin the reuse contracts in tests and benchmarks.

@@ -11,13 +11,21 @@
 //!
 //! ## Model
 //!
-//! A [`ParametricNetwork`] owns a [`Dinic`] plus an arc classification:
+//! A [`ParametricNetwork`] owns a [`Dinic`] plus the list of its
+//! parametric arcs:
 //!
 //! * **static arcs** ([`ParametricNetwork::add_static`]) carry an
 //!   integer unit capacity `c`; at solve scale `D` their capacity is
 //!   `c · D`;
 //! * **parametric arcs** ([`ParametricNetwork::add_parametric`]) get an
 //!   explicit capacity (already expressed at scale `D`) on every solve.
+//!
+//! The static capacities are kept nowhere but in the network itself, at
+//! the current scale: staged at unit scale, then rescaled in place on
+//! every solve whose scale differs. No per-arc copy sits next to the
+//! network. The one static figure kept aside is the largest unit
+//! capacity, which bounds every static product at once (see the
+//! overflow rule below).
 //!
 //! Exactness forces the scale: the sink capacities `ρ·h` are rational,
 //! and each threshold `ρ = a/b` needs `b | D` for integer capacities.
@@ -39,6 +47,15 @@
 //! grows, sink capacities only grow, and each probe re-solves in time
 //! proportional to the *increment*.
 //!
+//! The rescale runs in place, in two passes. The first only checks:
+//! every static product is at most `max_unit · D₂` (a static arc's
+//! residual and flow are both at most its total `c · D₁`), so one
+//! `checked_mul` covers all of them, and each parametric arc's flow
+//! gets its own `checked_mul` by `q`. The second multiplies the
+//! residual column by `q` (skipped when `q = 1`, the common case along
+//! a ladder) and installs the new parametric capacities; parametric
+//! residuals are zeroed first, since their capacity is replaced anyway.
+//!
 //! Capacity *decreases* keep the rescaled flow as well and *cancel only
 //! the infeasible excess* of each shrunk arc along the flow's own
 //! support paths (`Dinic::retract_arc`), so the follow-up max-flow
@@ -46,8 +63,9 @@
 //! schedule is near-monotone. Work is proportional to the flow
 //! cancelled, not the network size. The flow is discarded only when
 //! the new scale is not a multiple of the retained one (or the rescale
-//! would overflow): then the solve restarts from zero on the built
-//! network.
+//! would overflow): then every static capacity is moved to the new
+//! scale exactly (`c · D₁` becomes `c · D₂`) and the solve restarts
+//! from zero on the built network.
 //!
 //! [`crate::flow_stats`] counts all outcomes, splitting cold solves
 //! into the unavoidable first build per network vs genuine resets.
@@ -91,8 +109,9 @@ pub struct ParametricNetwork {
     net: Dinic,
     s: u32,
     t: u32,
-    /// `(arc, capacity at unit scale)` for every static arc.
-    static_arcs: Vec<(ArcId, i128)>,
+    /// Largest static unit capacity: bounds every static product of a
+    /// rescale (module docs).
+    max_unit: i128,
     /// Parametric arcs, in `add_parametric` order.
     param_arcs: Vec<ArcId>,
     /// Scale of the currently retained flow/capacities; 0 until the
@@ -108,10 +127,15 @@ impl ParametricNetwork {
             net: Dinic::new(nodes),
             s,
             t,
-            static_arcs: Vec::new(),
+            max_unit: 0,
             param_arcs: Vec::new(),
             cur_scale: 0,
         }
+    }
+
+    /// Reserves room for `additional` more arcs of either class.
+    pub fn reserve(&mut self, additional: usize) {
+        self.net.reserve(additional);
     }
 
     /// Adds a static arc whose capacity at solve scale `D` is
@@ -119,9 +143,8 @@ impl ParametricNetwork {
     pub fn add_static(&mut self, from: u32, to: u32, unit_cap: i128) -> ArcId {
         assert!(self.cur_scale == 0, "arcs must be added before solving");
         assert!(unit_cap >= 0, "negative capacity");
-        let arc = self.net.add_edge(from, to, 0);
-        self.static_arcs.push((arc, unit_cap));
-        arc
+        self.max_unit = self.max_unit.max(unit_cap);
+        self.net.add_edge(from, to, unit_cap)
     }
 
     /// Adds a parametric arc; its capacity is supplied to every
@@ -134,10 +157,21 @@ impl ParametricNetwork {
         self.param_arcs.len() - 1
     }
 
+    /// Finishes building: lays the network out for solving (the CSR
+    /// freeze of [`Dinic`]). The first solve does it otherwise.
+    pub fn freeze(&mut self) {
+        self.net.freeze();
+    }
+
     /// Number of parametric arcs (the length `solve` expects of its
     /// capacity slice).
     pub fn param_count(&self) -> usize {
         self.param_arcs.len()
+    }
+
+    /// Number of arcs of both classes.
+    pub fn arc_count(&self) -> usize {
+        self.net.arc_count()
     }
 
     /// Number of nodes.
@@ -178,80 +212,72 @@ impl ParametricNetwork {
     pub fn solve(&mut self, scale: i128, param_caps: &[i128]) -> SolveMode {
         assert!(scale > 0, "scale must be positive");
         assert_eq!(param_caps.len(), self.param_arcs.len(), "capacity slice");
+        self.net.freeze();
+        let first = self.cur_scale == 0;
+        // The scale the static capacities are installed at.
+        let base = if first { 1 } else { self.cur_scale };
 
-        // The retained flow is reusable iff the scale ratio q is a
-        // positive integer and the rescale overflows nowhere.
-        // Mathematically static arcs scale with the network and can
-        // never under-run, but both arc classes still get the checked-
-        // multiply guard: a caller with extreme unit capacities must
-        // fall back to a cold solve, never install a wrapped flow.
-        let q = if self.cur_scale > 0 && scale % self.cur_scale == 0 {
-            scale / self.cur_scale
-        } else {
-            0
-        };
-        // (arc, new total capacity, rescaled flow) for every arc, or
-        // None when q = 0 / any product overflows.
-        let rescaled: Option<Vec<(ArcId, i128, i128)>> = if q > 0 {
-            (|| {
-                let mut v = Vec::with_capacity(self.static_arcs.len() + self.param_arcs.len());
-                for &(arc, unit_cap) in &self.static_arcs {
-                    let cap = unit_cap.checked_mul(scale)?;
-                    let flow = self.net.current_flow(arc).checked_mul(q)?;
-                    v.push((arc, cap, flow));
-                }
-                for (&arc, &cap) in self.param_arcs.iter().zip(param_caps) {
-                    let flow = self.net.current_flow(arc).checked_mul(q)?;
-                    v.push((arc, cap, flow));
-                }
-                Some(v)
-            })()
-        } else {
-            None
-        };
+        // Pass 1: the retained flow is reusable iff the scale ratio q is
+        // a positive integer and the rescale overflows nowhere. Every
+        // static product is at most max_unit · scale; each parametric
+        // flow is checked on its own.
+        let q = if scale % base == 0 { scale / base } else { 0 };
+        let fits = q > 0
+            && self.max_unit.checked_mul(scale).is_some()
+            && self
+                .param_arcs
+                .iter()
+                .all(|&arc| self.net.current_flow(arc).checked_mul(q).is_some());
 
-        let mode = match rescaled {
-            Some(arcs) => {
-                // Keep the rescaled flow under temporarily inflated
-                // capacities (still a conserving flow), then retract
-                // each oversubscribed arc: the retraction cancels its
-                // excess along the flow's own support paths and snaps
-                // the inflated capacity down. With no oversubscribed
-                // arc the rescaled flow is installed as-is (warm).
-                for &(arc, cap, flow) in &arcs {
-                    self.net.set_state(arc, cap.max(flow), flow);
-                }
-                let mut mode = SolveMode::Warm;
-                for &(arc, cap, flow) in &arcs {
-                    if flow > cap {
-                        self.net.retract_arc(arc, cap, self.s, self.t);
-                        mode = SolveMode::Retract;
-                    }
-                }
-                let counter = if mode == SolveMode::Warm {
-                    &stats::WARM_SOLVES
-                } else {
-                    &stats::RETRACT_SOLVES
-                };
-                counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                mode
+        let mode = if fits {
+            // Pass 2: keep the rescaled flow under temporarily inflated
+            // parametric capacities (still a conserving flow), then
+            // retract each oversubscribed arc: the retraction cancels
+            // its excess along the flow's own support paths and snaps
+            // the inflated capacity down. With no oversubscribed arc
+            // the rescaled flow is installed as-is (warm).
+            for &arc in &self.param_arcs {
+                let flow = self.net.current_flow(arc);
+                self.net.set_state(arc, flow, flow);
             }
-            None => {
-                for &(arc, unit_cap) in &self.static_arcs {
-                    self.net.set_state(arc, unit_cap * scale, 0);
+            if q > 1 {
+                self.net.scale_in_place(q);
+            }
+            let mut oversubscribed = Vec::new();
+            for (&arc, &cap) in self.param_arcs.iter().zip(param_caps) {
+                let flow = self.net.current_flow(arc);
+                self.net.set_state(arc, cap.max(flow), flow);
+                if flow > cap {
+                    oversubscribed.push((arc, cap));
                 }
-                for (&arc, &cap) in self.param_arcs.iter().zip(param_caps) {
-                    self.net.set_state(arc, cap, 0);
-                }
-                let counter = if self.cur_scale == 0 {
-                    &stats::FIRST_BUILD
-                } else {
-                    &stats::INFEASIBLE_RESET
-                };
-                counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            for &(arc, cap) in &oversubscribed {
+                self.net.retract_arc(arc, cap, self.s, self.t);
+            }
+            if first {
                 SolveMode::Cold
+            } else if oversubscribed.is_empty() {
+                SolveMode::Warm
+            } else {
+                SolveMode::Retract
             }
+        } else {
+            for &arc in &self.param_arcs {
+                self.net.set_state(arc, 0, 0);
+            }
+            self.net.reset_rescaled(base, scale);
+            for (&arc, &cap) in self.param_arcs.iter().zip(param_caps) {
+                self.net.set_state(arc, cap, 0);
+            }
+            SolveMode::Cold
         };
+        let counter = match mode {
+            SolveMode::Warm => &stats::WARM_SOLVES,
+            SolveMode::Retract => &stats::RETRACT_SOLVES,
+            SolveMode::Cold if first => &stats::FIRST_BUILD,
+            SolveMode::Cold => &stats::INFEASIBLE_RESET,
+        };
+        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.net.max_flow(self.s, self.t);
         self.cur_scale = scale;
         mode

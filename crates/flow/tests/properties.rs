@@ -22,7 +22,119 @@ fn arb_net() -> impl Strategy<Value = Net> {
     })
 }
 
+/// A kernel-oracle network on at most 9 nodes (`s = 0`, `t = n − 1`):
+/// capacities include zero, some arcs are doubled into parallel pairs,
+/// self-loops and isolated nodes occur, and the source may have no
+/// out-arcs at all.
+fn arb_small_net() -> impl Strategy<Value = Net> {
+    (2usize..10, any::<bool>()).prop_flat_map(|(n, mute_source)| {
+        prop::collection::vec(
+            // capacities 9..12 fold to 0: zero arcs are common
+            (
+                0..n as u32,
+                0..n as u32,
+                (0i128..12).prop_map(|c| if c < 9 { c } else { 0 }),
+                any::<bool>(),
+            ),
+            0..3 * n,
+        )
+        .prop_map(move |raw| {
+            let mut arcs = Vec::new();
+            for (u, v, c, doubled) in raw {
+                if mute_source && u == 0 {
+                    continue;
+                }
+                arcs.push((u, v, c));
+                if doubled {
+                    arcs.push((u, v, c / 2));
+                }
+            }
+            Net { n, arcs }
+        })
+    })
+}
+
+/// The inclusion-smallest and inclusion-largest minimum-cut source
+/// sides, by brute force over every `S` with `s ∈ S`, `t ∉ S`. Minimum
+/// cuts are closed under intersection and union, so these are the
+/// intersection and the union of all of them.
+fn brute_force_cut_sides(n: usize, arcs: &[(u32, u32, i128)]) -> (Vec<bool>, Vec<bool>) {
+    let (s, t) = (0, n - 1);
+    let mut best = i128::MAX;
+    let (mut smallest, mut largest) = (0u32, 0u32);
+    for mask in 0u32..1 << n {
+        if mask & (1 << s) == 0 || mask & (1 << t) != 0 {
+            continue;
+        }
+        let cut: i128 = arcs
+            .iter()
+            .filter(|&&(u, v, _)| mask & (1 << u) != 0 && mask & (1 << v) == 0)
+            .map(|&(_, _, c)| c)
+            .sum();
+        if cut < best {
+            (best, smallest, largest) = (cut, mask, mask);
+        } else if cut == best {
+            smallest &= mask;
+            largest |= mask;
+        }
+    }
+    let side = |mask: u32| (0..n).map(|v| mask & (1 << v) != 0).collect();
+    (side(smallest), side(largest))
+}
+
 proptest! {
+    /// Both canonical cut sides of a plain Dinic are the brute-force
+    /// inclusion-smallest and inclusion-largest minimum cuts.
+    #[test]
+    fn cut_sides_match_brute_force(net in arb_small_net()) {
+        let (s, t) = (0u32, (net.n - 1) as u32);
+        let mut d = Dinic::new(net.n);
+        for &(u, v, c) in &net.arcs {
+            d.add_edge(u, v, c);
+        }
+        d.max_flow(s, t);
+        let (smallest, largest) = brute_force_cut_sides(net.n, &net.arcs);
+        prop_assert_eq!(d.min_cut_source_side(s), smallest);
+        prop_assert_eq!(d.max_cut_source_side(t), largest);
+    }
+
+    /// The same oracle after every solve of a retained
+    /// ParametricNetwork driven through a schedule of parametric
+    /// capacities and scales (warm, retracting and cold solves alike).
+    #[test]
+    fn parametric_cut_sides_match_brute_force(
+        net in arb_small_net(),
+        param_ends in prop::collection::vec((0u32..9, 0u32..9), 0..8),
+        schedule in prop::collection::vec(
+            (prop::collection::vec(0i128..12, 8), 1i128..5),
+            1..5,
+        ),
+    ) {
+        let (s, t) = (0u32, (net.n - 1) as u32);
+        let param_ends: Vec<(u32, u32)> = param_ends
+            .into_iter()
+            .map(|(u, v)| (u % net.n as u32, v % net.n as u32))
+            .collect();
+        let mut pn = ParametricNetwork::new(net.n, s, t);
+        for &(u, v, c) in &net.arcs {
+            pn.add_static(u, v, c);
+        }
+        for &(u, v) in &param_ends {
+            pn.add_parametric(u, v);
+        }
+        for (caps_raw, den) in schedule {
+            let scale = pn.scale_for(den);
+            let caps: Vec<i128> = (0..pn.param_count()).map(|i| caps_raw[i] * scale).collect();
+            pn.solve(scale, &caps);
+            let mut arcs: Vec<(u32, u32, i128)> =
+                net.arcs.iter().map(|&(u, v, c)| (u, v, c * scale)).collect();
+            arcs.extend(param_ends.iter().zip(&caps).map(|(&(u, v), &c)| (u, v, c)));
+            let (smallest, largest) = brute_force_cut_sides(net.n, &arcs);
+            prop_assert_eq!(pn.min_cut_source_side(), smallest);
+            prop_assert_eq!(pn.max_cut_source_side(), largest);
+        }
+    }
+
     /// Max-flow equals the capacity of the minimal source-side cut and
     /// of the maximal source-side cut, and the two sides are nested.
     #[test]
