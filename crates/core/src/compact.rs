@@ -49,11 +49,11 @@
 //! [`InstanceSolver::next_density_level`] ends the same way, over
 //! `A ⊇ F` (the forced set, pinned to the source side) with the
 //! marginal `g_ρ(A) = |Ψ(A)| − |Ψ(F)| − ρ(|A| − |F|)`. Its ladder stops
-//! at `ρ = best` when the minimal maximizer is `F` itself, so
-//! `max g = 0` and `best = p/q` with `q ≤ n' = n − |F|`. The maximizers
+//! at the first `ρ` whose minimal maximizer is `F` itself, so
+//! `max g = 0` and `ρ = p/q` with `q ≤ n' = n − |F|`. The maximizers
 //! are closed under union, and the largest, `L`, strictly contains `F`:
-//! it contains the set whose marginal density `best` is (the universe,
-//! if the first probe stops). At `best − 1/n²` a maximizer scores
+//! it contains the set whose marginal density `ρ` is (the universe, if
+//! the first probe stops). At `ρ − 1/n²` a maximizer scores
 //! `(|A| − |F|)/n²`, so `L` is best among them, and any other `A` scores
 //! at most `−1/n' + n'/n² ≤ 0 < (|L| − |F|)/n²`.
 //!
@@ -355,8 +355,8 @@ impl InstanceSolver {
     /// holds no clique.
     ///
     /// The minimal maximizers are nested as `ρ` increases, so the
-    /// iteration performs at most `n` max-flows (1–4 in practice) — all
-    /// on the one retained network, warm-started while ρ climbs. The
+    /// iteration performs at most `n` max-flows — all on the one
+    /// retained network, warm-started while ρ climbs. The
     /// last probe's maximal source side is `U` itself (module docs), so
     /// no `DeriveCompact` solve follows.
     pub fn densest_decomposition(&mut self) -> Option<(Ratio, Vec<bool>)> {
@@ -416,7 +416,6 @@ impl InstanceSolver {
         // Goldberg iteration on the marginal density: the minimal
         // maximizer of |Ψ(A)| − ρ|A| over A ⊇ forced shrinks as ρ grows.
         let mut guard = 0usize;
-        let mut best = rho;
         loop {
             self.solve(rho, Pins::Source(forced));
             let side = self.net.as_ref().expect("solved").min_cut_source_side();
@@ -431,25 +430,21 @@ impl InstanceSolver {
             }
             let inside = count_inside(self.instance(), &set) as i128;
             let marginal = Ratio::new(inside - base_inside, new_count as i128);
-            debug_assert!(marginal >= rho);
-            if marginal == best && marginal == rho {
-                best = marginal;
-                break;
-            }
-            best = marginal;
+            // a minimal maximizer beyond `forced` gains strictly: at
+            // equality `forced` itself would be a smaller maximizer
+            debug_assert!(marginal > rho, "marginal density must strictly increase");
             rho = marginal;
             guard += 1;
             assert!(guard <= n + 2, "marginal-density iteration diverged");
         }
 
-        // The largest maximizer at the final level: the last probe ran at
-        // ρ = best, where its maximal source side equals the
-        // ε-perturbed one (module docs, "The last probe is the answer").
-        debug_assert_eq!(rho, best);
+        // The largest maximizer at the final level: the last probe's
+        // maximal source side equals the ε-perturbed one (module docs,
+        // "The last probe is the answer").
         let side = self.net.as_ref().expect("solved").max_cut_source_side();
         let level: Vec<bool> = (0..n).map(|v| side[v + 1] && !forced[v]).collect();
         debug_assert!(level.iter().any(|&b| b), "level must be non-empty");
-        Some((best, level))
+        Some((rho, level))
     }
 }
 
