@@ -7,7 +7,7 @@ use lhcds_graph::{CsrGraph, VertexId};
 /// `vertex -> clique ids`.
 ///
 /// This is the workhorse shared by SEQ-kClist++ (which walks cliques
-/// every iteration), the flow-network builders (one gadget per clique),
+/// every iteration), the flow-network builder (one node per clique),
 /// the `(k, ψh)`-core peeling, and both verification algorithms. Layout:
 /// `members[h·i .. h·(i+1)]` are the vertices of clique `i`.
 #[derive(Debug, Clone)]

@@ -1,28 +1,45 @@
-//! The `DeriveCompact` flow network (Figure 6), `IsDensest`, and the
-//! exact local densest decomposition.
+//! The `DeriveCompact` flow network, `IsDensest`, and the exact local
+//! densest decomposition.
 //!
 //! All routines operate on a [`LocalInstance`]: a relabelled vertex
 //! universe `0..n` with the h-cliques fully inside it.
 //!
 //! ## Exactness
 //! For threshold `ρ = a/b` all capacities are scaled by a multiple `D`
-//! of `b`. The gadget capacities `1`, `h − 1` and the clique degree are
-//! integers at unit scale and `ρ·h·D` is an integer, so every capacity
-//! is an integer `i128`: the min-cut, and therefore every verification
-//! decision, is exact.
+//! of `b`. Every clique arc has capacity 1 at unit scale and `ρ·D` is
+//! an integer, so every capacity is an integer `i128`: the min-cut, and
+//! therefore every verification decision, is exact.
 //!
-//! ## The gadget (one clique node per h-clique `ψ`)
-//! `v → ψ` with capacity 1 and `ψ → v` with capacity `h − 1` for every
-//! member `v`; `s → v` with the h-clique degree; `v → t` with `ρ·h`.
-//! A cut that keeps vertex set `A` on the source side pays
-//! `Σ_v deg(v) − h·(|Ψ(A)| − ρ|A|)`, so the *minimum* cut maximizes
-//! `|Ψ(A)| − ρ|A|`, and:
+//! ## The network (one clique node per h-clique `ψ`)
+//! `s → ψ` with capacity 1, `ψ → v` with capacity 1 for every member
+//! `v`, and `v → t` with `ρ`. A cut that keeps vertex set `A` on the
+//! source side puts `ψ` on the sink side unless all of `ψ`'s members
+//! are in `A`: a clique with a member outside `A` pays 1 either way
+//! (`s → ψ`, or at least one `ψ → v`), and one inside `A` pays nothing
+//! on the source side. So the cheapest cut with vertex side `A` costs
+//!
+//! `cut(A) = |Ψ| − |Ψ(A)| + ρ|A|`,
+//!
+//! the *minimum* cut maximizes `|Ψ(A)| − ρ|A|`, and:
 //!
 //! * the minimal source side is the smallest maximizer — empty iff no
 //!   subgraph is denser than `ρ` (`IsDensest`, equivalently: `G` is
 //!   h-clique `ρ`-compact);
 //! * the maximal source side at threshold `ρ − 1/n²` is the union of
 //!   all maximal `ρ`-compact subgraphs (Theorem 5).
+//!
+//! The paper's Figure 6 gadget (`v → ψ` with 1, `ψ → v` with `h − 1`,
+//! `s → v` with the clique degree, `v → t` with `ρh`) has the cut
+//! `h|Ψ| − h|Ψ(A)| + hρ|A|`: exactly `h · cut(A)`. Both networks
+//! therefore have the same minimum cuts over vertex sides, and the same
+//! smallest and largest ones, while this one spends `h + 1` arcs per
+//! clique instead of `2h`.
+//!
+//! Both source sides are read off vertex nodes only. Every maximizer
+//! `A` is the vertex side of some minimum cut (place each `ψ` as
+//! above), so the minimal min-cut source side, which lies inside every
+//! minimum cut's, has a vertex side inside every maximizer and is
+//! itself one; the maximal side is the largest maximizer likewise.
 //!
 //! ## The last probe is the answer
 //! Write `f_ρ(A) = |Ψ(A)| − ρ|A|`. The Goldberg ladder of
@@ -62,8 +79,8 @@
 //! the Goldberg ladder of [`InstanceSolver::densest_decomposition`], the
 //! marginal-density iteration of
 //! [`InstanceSolver::next_density_level`], and the verifier's
-//! ε-perturbed `DeriveCompact` probes all share the gadget arcs and
-//! differ only in the ρ-dependent terminal capacities.
+//! ε-perturbed `DeriveCompact` probes all share the clique arcs and
+//! differ only in the ρ-dependent vertex–terminal capacities.
 //! [`InstanceSolver`] therefore builds **one** [`ParametricNetwork`] per
 //! instance (lazily, on the first probe) and re-tunes it between
 //! solves, warm-starting from the retained residual flow when the
@@ -77,22 +94,31 @@
 //! ## Pinned vertices
 //! Two kinds of probe pin vertices to one side of every minimum cut,
 //! each with the same "infinite" capacity at solve scale `D`:
-//! `inf = h·D·(|Ψ| + 1) + ρh·D·(n + 1) + 1`.
+//! `inf = D·(|Ψ| + 1) + ρD·(n + 1) + 1`.
 //!
 //! * **Source pins** ([`InstanceSolver::next_density_level`]'s higher
 //!   levels): `s → v = inf`.
 //! * **Sink pins** ([`InstanceSolver::max_source_side`], the fast
 //!   verifier's step on its retained clique-support network):
-//!   `s → v = 0` and `v → t = inf`.
+//!   `v → t = inf` (`s → v` stays 0).
 //!
-//! Every clique carries `h·D` of `s → v` capacity over its members, so
-//! the all-sink cut costs at most `Σ_v deg(v)·D = h·D·|Ψ| < inf`; with
-//! the source pins instead, the cut whose source side is the pinned set
-//! costs at most that plus `ρh·D·n`, also below `inf`. A minimum cut
+//! The all-sink cut costs `D·|Ψ| < inf` (every `s → ψ`); with the
+//! source pins instead, the cut whose source side is the pinned set
+//! costs at most that plus `ρD·n`, also below `inf`. A minimum cut
 //! therefore never cuts a pinned arc: a sink-pinned vertex never lies
 //! on a min-cut source side, a source-pinned one always does, and since
 //! no flow exceeds the minimum cut, no flow ever comes near a pinned
 //! capacity (it is never saturated and never retracted).
+//!
+//! `inf` is the largest number a solve forms: every capacity is at most
+//! `inf`, and every flow at most the minimum cut, below it. So the
+//! whole solve stays inside `i128` exactly when `inf` does. A chained
+//! `D` stays ≤ `2^80` (the parametric network's scale limit; a fresh
+//! one is `den(ρ)`), and every production probe's `ρ` is a density of
+//! the instance, at most `|Ψ|`, so `inf` is far from the limit for any
+//! instance that fits in memory. It is built with checked arithmetic
+//! all the same and panics, naming this bound, if it ever leaves
+//! `i128`.
 
 use lhcds_clique::CliqueSet;
 use lhcds_flow::{ParametricNetwork, Ratio};
@@ -195,20 +221,19 @@ pub fn local_instance(cliques: &CliqueSet, set: &[VertexId]) -> (LocalInstance, 
 }
 
 /// A [`LocalInstance`] bundled with its lazily built, reusable flow
-/// network: the only builder of the Figure 6 gadget.
+/// network: the only builder of the module docs' network.
 ///
 /// Node layout: `0 = s`, `1..=n` local vertices, then clique nodes, `t`
-/// last. Gadget arcs (`v → ψ`, `ψ → v`) are *static* — expressed once
-/// at unit scale; the ρ-dependent terminal arcs (`s → v`, `v → t`) are
-/// *parametric* and re-tuned per probe. Every probe of every method
-/// reuses the same [`ParametricNetwork`], warm-starting when the
-/// capacity change is monotone and retracting the flow on decreases.
+/// last. Clique arcs (`s → ψ`, `ψ → v`) are *static* — expressed once
+/// at unit scale; the vertex–terminal arcs (`s → v`, 0 unless
+/// source-pinned, and `v → t`) are *parametric* and re-tuned per
+/// probe. Every probe of every method reuses the same
+/// [`ParametricNetwork`], warm-starting when the capacity change is
+/// monotone and retracting the flow on decreases.
 #[derive(Debug, Clone)]
 pub struct InstanceSolver {
     inst: LocalInstance,
     net: Option<ParametricNetwork>,
-    /// Per-vertex clique degree.
-    deg: Vec<i128>,
 }
 
 /// Vertices a solve pins to one side of every minimum cut.
@@ -217,22 +242,14 @@ enum Pins<'a> {
     None,
     /// `s → v` infinite: `v` on the source side.
     Source(&'a [bool]),
-    /// `s → v = 0` and `v → t` infinite: `v` on the sink side.
+    /// `v → t` infinite: `v` on the sink side.
     Sink(&'a [bool]),
 }
 
 impl InstanceSolver {
     /// Wraps `inst`; the network is built on the first probe.
     pub fn new(inst: LocalInstance) -> InstanceSolver {
-        let mut deg = vec![0i128; inst.n];
-        for &v in &inst.full {
-            deg[v as usize] += 1;
-        }
-        InstanceSolver {
-            inst,
-            net: None,
-            deg,
-        }
+        InstanceSolver { inst, net: None }
     }
 
     /// The wrapped instance.
@@ -245,10 +262,9 @@ impl InstanceSolver {
     fn build_network(inst: &LocalInstance) -> ParametricNetwork {
         let sp = lhcds_obs::span("network");
         let n = inst.n;
-        let h = inst.h as i128;
         let t = (1 + n + inst.clique_count()) as u32;
         let mut pn = ParametricNetwork::new(t as usize + 1, 0, t);
-        pn.reserve(2 * n + 2 * inst.full.len());
+        pn.reserve(2 * n + inst.clique_count() + inst.full.len());
         // parametric arc layout: [0, n) = s→v; [n, 2n) = v→t
         for v in 0..n as u32 {
             pn.add_parametric(0, v + 1);
@@ -258,9 +274,9 @@ impl InstanceSolver {
         }
         for (i, members) in inst.full.chunks_exact(inst.h).enumerate() {
             let cnode = (1 + n + i) as u32;
+            pn.add_static(0, cnode, 1);
             for &v in members {
-                pn.add_static(v + 1, cnode, 1);
-                pn.add_static(cnode, v + 1, h - 1);
+                pn.add_static(cnode, v + 1, 1);
             }
         }
         pn.freeze();
@@ -274,20 +290,14 @@ impl InstanceSolver {
         let inst = &self.inst;
         let pn = self.net.get_or_insert_with(|| Self::build_network(inst));
         let n = inst.n;
-        let h = inst.h as i128;
-        let gadget_nodes = (inst.clique_count() + 1) as i128;
         let scale = pn.scale_for(rho.den());
-        let vt_cap = (rho * Ratio::from_int(h)).scale_to_int(scale);
+        let vt_cap = rho.scale_to_int(scale);
         assert!(vt_cap >= 0, "threshold must be non-negative");
-        let inf = (h * scale)
-            .saturating_mul(gadget_nodes)
-            .saturating_add(vt_cap.saturating_mul(n as i128 + 1))
-            .saturating_add(1);
+        let inf = pin_capacity(scale, inst.clique_count(), vt_cap, n);
         let mut caps = Vec::with_capacity(pn.param_count());
         caps.extend((0..n).map(|v| match pins {
             Pins::Source(f) if f[v] => inf,
-            Pins::Sink(f) if f[v] => 0,
-            _ => self.deg[v] * scale,
+            _ => 0,
         }));
         caps.extend((0..n).map(|v| match pins {
             Pins::Sink(f) if f[v] => inf,
@@ -446,6 +456,22 @@ impl InstanceSolver {
         debug_assert!(level.iter().any(|&b| b), "level must be non-empty");
         Some((rho, level))
     }
+}
+
+/// The pin capacity `inf = D·(|Ψ| + 1) + ρD·(n + 1) + 1` at scale `D`
+/// (module docs, "Pinned vertices"), from `ρD = vt_cap`.
+fn pin_capacity(scale: i128, cliques: usize, vt_cap: i128, n: usize) -> i128 {
+    scale
+        .checked_mul(cliques as i128 + 1)
+        .zip(vt_cap.checked_mul(n as i128 + 1))
+        .and_then(|(a, b)| a.checked_add(b))
+        .and_then(|c| c.checked_add(1))
+        .unwrap_or_else(|| {
+            panic!(
+                "pin capacity D·(|Ψ| + 1) + ρD·(n + 1) + 1 overflows i128 \
+                 (D = {scale}, |Ψ| = {cliques}, ρD = {vt_cap}, n = {n})"
+            )
+        })
 }
 
 /// `max(ρ − 1/n², 0)`: the `DeriveCompact` threshold on `n` vertices.

@@ -12,7 +12,9 @@
 //! maximizes the *marginal* density over supersets of the union of the
 //! higher levels (the classic principal-partition construction, solved
 //! by [`InstanceSolver::next_density_level`] with the higher levels
-//! pinned to the source side of the cut).
+//! pinned to the source side of the cut). The construction runs once
+//! per connected component of the instance hypergraph, each on a
+//! network of its own size, and the levels are merged by density.
 //!
 //! Exact compact numbers are a strictly stronger deliverable than the
 //! bounds the IPPV pipeline maintains — they answer "how locally dense
@@ -24,6 +26,7 @@ use crate::compact::{local_instance, InstanceSolver};
 use lhcds_clique::CliqueSet;
 use lhcds_flow::Ratio;
 use lhcds_graph::{CsrGraph, VertexId};
+use std::collections::BTreeMap;
 
 /// One level of the dense decomposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,40 +59,77 @@ pub fn dense_decomposition(g: &CsrGraph, h: usize) -> DenseDecomposition {
 
 /// Same as [`dense_decomposition`] with a pre-built instance store
 /// (also used for general pattern decompositions).
+///
+/// Runs one marginal-density ladder per connected component of the
+/// instance hypergraph (two vertices are joined when they share an
+/// instance; for a disconnected custom pattern that is not `G`'s
+/// edges). Every instance lies inside one component, so a vertex's
+/// level depends on its component alone, and the decomposition of the
+/// whole is the components' levels merged by density: equal densities
+/// form one level.
 pub fn dense_decomposition_with(g: &CsrGraph, cliques: &CliqueSet) -> DenseDecomposition {
-    let n = g.n();
-    let mut phi = vec![Ratio::zero(); n];
-    let mut levels = Vec::new();
-    if cliques.is_empty() {
-        return DenseDecomposition { levels, phi };
-    }
-    let all: Vec<VertexId> = g.vertices().collect();
-    let (inst, map) = local_instance(cliques, &all);
-    // One retained network serves the whole marginal-density walk.
-    let mut solver = InstanceSolver::new(inst);
-    let mut forced = vec![false; solver.instance().n];
-    let mut last: Option<Ratio> = None;
-    while let Some((density, level_mask)) = solver.next_density_level(&forced) {
-        if let Some(prev) = last {
-            debug_assert!(density < prev, "levels must strictly decrease");
-        }
-        last = Some(density);
-        if density <= Ratio::zero() {
-            break;
-        }
-        let mut vertices = Vec::new();
-        for (local, &m) in level_mask.iter().enumerate() {
-            if m {
-                forced[local] = true;
-                let v = map[local];
-                phi[v as usize] = density;
-                vertices.push(v);
+    let mut phi = vec![Ratio::zero(); g.n()];
+    let mut by_density: BTreeMap<Ratio, Vec<VertexId>> = BTreeMap::new();
+    for comp in instance_components(cliques) {
+        let (inst, map) = local_instance(cliques, &comp);
+        // One retained network serves the component's whole ladder.
+        let mut solver = InstanceSolver::new(inst);
+        let mut forced = vec![false; map.len()];
+        while let Some((density, level_mask)) = solver.next_density_level(&forced) {
+            // every vertex left lies in an instance not inside `forced`
+            debug_assert!(density > Ratio::zero(), "component levels are positive");
+            let vertices = by_density.entry(density).or_default();
+            for (local, &m) in level_mask.iter().enumerate() {
+                if m {
+                    forced[local] = true;
+                    phi[map[local] as usize] = density;
+                    vertices.push(map[local]);
+                }
             }
         }
-        vertices.sort_unstable();
-        levels.push(DensityLevel { density, vertices });
     }
+    let levels = by_density
+        .into_iter()
+        .rev()
+        .map(|(density, mut vertices)| {
+            vertices.sort_unstable();
+            DensityLevel { density, vertices }
+        })
+        .collect();
     DenseDecomposition { levels, phi }
+}
+
+/// Connected components of the instance hypergraph, each ascending, in
+/// order of their smallest vertex. Vertices in no instance are left
+/// out.
+fn instance_components(cliques: &CliqueSet) -> Vec<Vec<VertexId>> {
+    let mut seen = vec![false; cliques.n()];
+    let mut expanded = vec![false; cliques.len()];
+    let mut comps = Vec::new();
+    for root in 0..cliques.n() as VertexId {
+        if seen[root as usize] || cliques.degree(root) == 0 {
+            continue;
+        }
+        seen[root as usize] = true;
+        let mut comp = vec![root];
+        let mut next = 0;
+        while next < comp.len() {
+            for &ci in cliques.cliques_of(comp[next]) {
+                if std::mem::replace(&mut expanded[ci as usize], true) {
+                    continue;
+                }
+                for &w in cliques.members(ci as usize) {
+                    if !std::mem::replace(&mut seen[w as usize], true) {
+                        comp.push(w);
+                    }
+                }
+            }
+            next += 1;
+        }
+        comp.sort_unstable();
+        comps.push(comp);
+    }
+    comps
 }
 
 /// Exact h-clique compact numbers for every vertex (`φh`, Definition 4).
@@ -232,6 +272,73 @@ mod tests {
         }
         // (the one-network-per-ladder counter contract lives in the
         // integration tests, which own their process's counters)
+    }
+
+    /// The decomposition as one marginal-density ladder over the whole
+    /// graph, on one network.
+    fn one_ladder(g: &CsrGraph, h: usize) -> Vec<DensityLevel> {
+        let cliques = CliqueSet::enumerate(g, h);
+        let all: Vec<VertexId> = g.vertices().collect();
+        let (inst, map) = local_instance(&cliques, &all);
+        let mut solver = InstanceSolver::new(inst);
+        let mut forced = vec![false; map.len()];
+        let mut levels = Vec::new();
+        while let Some((density, mask)) = solver.next_density_level(&forced) {
+            let vertices: Vec<VertexId> = (0..map.len())
+                .filter(|&l| mask[l])
+                .map(|l| map[l])
+                .collect();
+            for (f, m) in forced.iter_mut().zip(&mask) {
+                *f |= m;
+            }
+            levels.push(DensityLevel { density, vertices });
+        }
+        levels
+    }
+
+    #[test]
+    fn component_ladders_equal_one_ladder() {
+        // disjoint K5, K4, K4 (a tie across components), a triangle with
+        // a pendant, a bridged pair of K4s, and seeded random graphs
+        let mut b = GraphBuilder::new();
+        complete_on(&mut b, &[0, 1, 2, 3, 4]);
+        complete_on(&mut b, &[5, 6, 7, 8]);
+        complete_on(&mut b, &[9, 10, 11, 12]);
+        complete_on(&mut b, &[13, 14, 15]);
+        b.add_edge(15, 16);
+        complete_on(&mut b, &[17, 18, 19, 20]);
+        complete_on(&mut b, &[21, 22, 23, 24]);
+        b.add_edge(20, 21);
+        let mut graphs = vec![b.build()];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..6 {
+            let mut b = GraphBuilder::new();
+            b.ensure_vertex(29);
+            for u in 0..30u32 {
+                for v in u + 1..30 {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    if (state >> 33) % 100 < 18 {
+                        b.add_edge(u, v);
+                    }
+                }
+            }
+            graphs.push(b.build());
+        }
+        for g in &graphs {
+            for h in 2..=4 {
+                let d = dense_decomposition(g, h);
+                assert_eq!(d.levels, one_ladder(g, h), "h = {h}");
+                let mut phi = vec![Ratio::zero(); g.n()];
+                for level in &d.levels {
+                    for &v in &level.vertices {
+                        phi[v as usize] = level.density;
+                    }
+                }
+                assert_eq!(d.phi, phi, "h = {h}");
+            }
+        }
     }
 
     #[test]

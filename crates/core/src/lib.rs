@@ -20,7 +20,7 @@
 //! | [`decompose`] | §4.2.3 — tentative graph decomposition (`TentativeGD`) |
 //! | [`stable`] | §4.2.4 — stable h-clique groups (`DeriveSG`), bound tightening |
 //! | [`prune`] | §4.3 — Algorithm 3, Proposition 5 pruning rules |
-//! | [`compact`] | Figure 6 — `DeriveCompact` flow network, `IsDensest` |
+//! | [`compact`] | `DeriveCompact` flow network (Figure 6, one node per clique), `IsDensest` |
 //! | [`verify`] | §4.4 — basic (Alg. 4) and fast (Alg. 5) LhCDS verification |
 //! | [`pipeline`] | §4.5 — Algorithm 6, the exact top-k driver |
 //! | [`density`] | §5.1 — exact dense decomposition / compact numbers via marginal-density cuts |

@@ -549,7 +549,10 @@ impl<'a> Driver<'a> {
         sp.counter("vertices", comp.len() as u64);
         // One reusable network serves the component's whole Goldberg
         // ladder (every ρ-probe of the local densest decomposition).
-        let (inst, map) = local_instance(cliques, comp);
+        let (inst, map) = {
+            let _sp = lhcds_obs::span("local-instance");
+            local_instance(cliques, comp)
+        };
         debug_assert_eq!(map, comp, "components are sorted and unique");
         InstanceSolver::new(inst).densest_decomposition()
     }

@@ -32,13 +32,14 @@
 //!   With this `T` the paper's boundary-clique set `P` (Figure 7) is
 //!   provably empty under its own validity rule (a straddling clique
 //!   would have a member with `φ̄ < ρ`, which can belong to no
-//!   `ρ`-compact subgraph), so the network is the Figure 6 one over
-//!   `G[T]`.
+//!   `ρ`-compact subgraph), so the network is the plain
+//!   `DeriveCompact` network over `G[T]` ([`crate::compact`]: one
+//!   node per clique, the same cuts as Figure 6 up to the factor `h`).
 //!
 //! ## Why the shared network is exact
 //!
-//! Both algorithms run on **one** network: the Figure 6 network of a
-//! [`SupportVerifier`], built once per run by [`InstanceSolver`] on the
+//! Both algorithms run on **one** network: the `DeriveCompact` network
+//! of a [`SupportVerifier`], built once per run by [`InstanceSolver`] on the
 //! **clique support** `U = {v : cliques.degree(v) > 0}`, never on all
 //! of `V`.
 //!
@@ -57,14 +58,14 @@
 //! * **Algorithm 4** is `DeriveCompact(ρ)` on the whole network.
 //! * **Algorithm 5** sink-pins every support vertex outside `T`
 //!   ([`InstanceSolver::max_source_side`]) and solves at
-//!   `ρ − 1/|T|²`. Members of `T` keep their whole-graph clique degree
-//!   on `s → v`. A clique `c` straddling `T`'s boundary then adds
-//!   `|A ∩ c|` (linear) to every cut with source side `A ⊆ T`, which
-//!   cancels against those degrees: the cut function over `A` differs
-//!   from the reduced network over `G[T]`'s by a constant, so the
-//!   min-cut source sides (the canonical maximal one included) coincide
-//!   bit-identically. Clique-free members of `T` enter only through
-//!   `|T|` in the perturbation.
+//!   `ρ − 1/|T|²`. A clique `c` with a member outside `T` can never lie
+//!   inside a source side `A ⊆ T`, so it adds the constant 1 to every
+//!   such cut (through `s → c`, or through the `c → v` arc of a member
+//!   outside `A`). The cut function over `A ⊆ T` is therefore the
+//!   reduced network's over `G[T]` plus the number of cliques not
+//!   inside `T`, a constant, so the min-cut source sides (the canonical
+//!   maximal one included) coincide bit-identically. Clique-free
+//!   members of `T` enter only through `|T|` in the perturbation.
 //!
 //! Re-tunes retract the retained flow instead of resetting it, so the
 //! flow survives from candidate to candidate. Algorithm 5 also
@@ -115,8 +116,8 @@ pub struct FastVerifyInfo {
     pub early_reject: bool,
 }
 
-/// Both verifiers' flow step on **one** retained Figure 6 network over
-/// the clique support (exactness: module docs).
+/// Both verifiers' flow step on **one** retained `DeriveCompact` network
+/// over the clique support (exactness: module docs).
 ///
 /// Algorithm 4 ([`SupportVerifier::verify`]) solves the whole network;
 /// Algorithm 5 ([`verify_fast_with`] with a slot for this type) pins
@@ -139,7 +140,10 @@ impl SupportVerifier {
         let support: Vec<VertexId> = (0..cliques.n() as VertexId)
             .filter(|&v| cliques.degree(v) > 0)
             .collect();
-        let (inst, map) = local_instance(cliques, &support);
+        let (inst, map) = {
+            let _sp = lhcds_obs::span("local-instance");
+            local_instance(cliques, &support)
+        };
         debug_assert_eq!(inst.clique_count(), cliques.len());
         SupportVerifier {
             solver: InstanceSolver::new(inst),

@@ -3,11 +3,12 @@
 //! Exact max-flow / min-cut substrate for the LhCDS verification
 //! algorithms.
 //!
-//! The paper's flow network (Figure 6) carries one *rational*
-//! capacity: the sink arcs' `ρ·h` with `ρ = |Ψh(S)|/|S| − 1/|V|²`; the
-//! clique-gadget capacities `1` and `h − 1` and the source arcs' clique
-//! degrees are integers. Exactness of the whole pipeline (Theorem 7)
-//! hinges on deciding these min-cuts without rounding, so:
+//! The `DeriveCompact` flow network (`lhcds-core`'s `compact` module,
+//! the paper's Figure 6 with one node per clique) carries one
+//! *rational* capacity: the sink arcs' `ρ` with
+//! `ρ = |Ψh(S)|/|S| − 1/|V|²`; its clique arcs (`s → ψ`, `ψ → v`) all
+//! have capacity 1. Exactness of the whole pipeline (Theorem 7) hinges
+//! on deciding these min-cuts without rounding, so:
 //!
 //! * [`rational::Ratio`] is a tiny exact rational on `i128` used to carry
 //!   densities and thresholds around the pipeline, and

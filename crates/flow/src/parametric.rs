@@ -1,11 +1,12 @@
 //! Reusable parametric flow networks: build the arcs once, re-solve at
 //! many capacity settings, warm-starting from the retained flow.
 //!
-//! The LhCDS verification stack solves the *same* Figure-6 network at a
-//! ladder of density thresholds ρ: between consecutive `IsDensest` /
-//! `DeriveCompact` / marginal-density probes only the ρ-dependent
-//! vertex↔terminal capacities change, while the clique/membership
-//! gadget arcs — the overwhelming majority — are static. Rebuilding the
+//! The LhCDS verification stack solves the *same* `DeriveCompact`
+//! network at a ladder of density thresholds ρ: between consecutive
+//! `IsDensest` / `DeriveCompact` / marginal-density probes only the
+//! ρ-dependent vertex↔terminal capacities change, while the clique arcs
+//! (`s → ψ` and `ψ → v`, one node per clique) — the overwhelming
+//! majority — are static. Rebuilding the
 //! whole network per probe (nodes, arc pairs, adjacency lists) is pure
 //! overhead; this module retains it.
 //!
@@ -27,7 +28,7 @@
 //! capacity, which bounds every static product at once (see the
 //! overflow rule below).
 //!
-//! Exactness forces the scale: the sink capacities `ρ·h` are rational,
+//! Exactness forces the scale: the sink capacities `ρ` are rational,
 //! and each threshold `ρ = a/b` needs `b | D` for integer capacities.
 //! Because scaling *all* capacities by a common factor permutes neither
 //! the set of minimum cuts nor their canonical minimal / maximal source
@@ -307,8 +308,8 @@ impl ParametricNetwork {
 mod tests {
     use super::*;
 
-    /// The Figure-6 shape in miniature: s=0, two "vertices" 1 and 2, a
-    /// gadget node 3, t=4. Static gadget arcs of unit capacity 1 and 2;
+    /// A clique network in miniature: s=0, two "vertices" 1 and 2, a
+    /// middle node 3, t=4. Static arcs of unit capacity 1 and 2;
     /// parametric s→v and v→t arcs.
     fn tiny() -> (ParametricNetwork, [usize; 4]) {
         let mut pn = ParametricNetwork::new(5, 0, 4);

@@ -12,7 +12,7 @@ use lhcds_flow::{flow_stats, Dinic, ParametricNetwork, SolveMode};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
-/// s=0, vertices {1, 2}, gadget node 3, t=4 — the Figure 6 shape in
+/// s=0, vertices {1, 2}, middle node 3, t=4 — a clique network in
 /// miniature, with static unit capacities 1 and 2.
 fn tiny() -> ParametricNetwork {
     let mut pn = ParametricNetwork::new(5, 0, 4);
