@@ -12,7 +12,7 @@
 //! ## Thread-safety contract
 //!
 //! * [`par_collect_blocks`]'s `emit` is `Fn + Sync` (not `FnMut` as
-//!   the serial [`for_each_clique`]'s callback): it is invoked
+//!   the serial [`crate::for_each_clique`]'s callback): it is invoked
 //!   concurrently from worker threads, each call filling its own
 //!   buffer.
 //! * Each shard emits exactly the serial sweep's cliques for its roots;
@@ -40,8 +40,7 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use crate::kclist::Scratch;
-use crate::kclist::{build_dag, count_cliques, for_each_clique, root_sweep};
+use crate::kclist::{build_dag, count_cliques, root_sweep, sweep, Dag, Scratch};
 use lhcds_graph::{CsrGraph, VertexId};
 
 /// Thread-count policy for clique enumeration.
@@ -172,7 +171,7 @@ pub fn par_count_cliques(g: &CsrGraph, h: usize, par: &Parallelism) -> u64 {
         return count_cliques(g, h);
     }
     let dag = build_dag(g);
-    let queue = BlockQueue::new(dag.out.len(), threads);
+    let queue = BlockQueue::new(dag.n(), threads);
     run_workers(threads, |_| {
         let mut scratch = Scratch::new(h);
         let mut local = 0u64;
@@ -254,27 +253,23 @@ where
     out
 }
 
-/// Flat member array of every h-clique, in the *serial* enumeration
-/// order. Backs `CliqueSet::enumerate_with`.
+/// Flat member array of every h-clique (`h ≥ 2`), in the *serial*
+/// enumeration order, swept on `threads` workers. Backs
+/// `CliqueSet::enumerate_with`.
 ///
 /// Workers collect one member vector per claimed block; blocks cover
 /// contiguous ascending rank ranges, so concatenating them by block
 /// index reproduces the serial order exactly (clique ids and the
 /// incidence index of the resulting store are byte-identical).
-pub(crate) fn collect_members(g: &CsrGraph, h: usize, par: &Parallelism) -> Vec<VertexId> {
-    let threads = if g.n() == 0 {
-        1
-    } else {
-        par.effective_threads(g.n())
-    };
-    if threads <= 1 || h == 1 {
+pub(crate) fn collect_members(dag: &Dag, h: usize, threads: usize) -> Vec<VertexId> {
+    debug_assert!(h >= 2);
+    if threads <= 1 {
         let mut members = Vec::new();
-        for_each_clique(g, h, |c| members.extend_from_slice(c));
+        sweep(dag, h, &mut |c: &[VertexId]| members.extend_from_slice(c));
         return members;
     }
     PAR_COLLECTS.fetch_add(1, Ordering::Relaxed);
-    let dag = build_dag(g);
-    let queue = BlockQueue::new(dag.out.len(), threads);
+    let queue = BlockQueue::new(dag.n(), threads);
     let mut blocks: Vec<Option<Vec<VertexId>>> = (0..queue.blocks()).map(|_| None).collect();
     let per_worker = run_workers(threads, |_| {
         let mut scratch = Scratch::new(h);
@@ -283,7 +278,7 @@ pub(crate) fn collect_members(g: &CsrGraph, h: usize, par: &Parallelism) -> Vec<
             let mut members: Vec<VertexId> = Vec::new();
             let mut push = |c: &[VertexId]| members.extend_from_slice(c);
             for r in ranks {
-                root_sweep(&dag, r, h, &mut scratch, &mut push);
+                root_sweep(dag, r, h, &mut scratch, &mut push);
             }
             mine.push((b, members));
         }
@@ -379,7 +374,7 @@ mod tests {
         let g = CsrGraph::from_edges(0, []);
         let p = Parallelism::threads(4);
         assert_eq!(par_count_cliques(&g, 3, &p), 0);
-        assert!(collect_members(&g, 3, &p).is_empty());
+        assert!(collect_members(&build_dag(&g), 3, 4).is_empty());
     }
 
     #[test]

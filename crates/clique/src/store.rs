@@ -1,5 +1,6 @@
 //! Explicit h-clique storage with a per-vertex incidence index.
 
+use crate::kclist::build_dag;
 use crate::parallel::{collect_members, Parallelism};
 use lhcds_graph::{CsrGraph, VertexId};
 
@@ -33,7 +34,21 @@ impl CliqueSet {
     pub fn enumerate_with(g: &CsrGraph, h: usize, par: &Parallelism) -> Self {
         assert!(h >= 1, "h-cliques require h >= 1");
         let sp = lhcds_obs::span("kclist");
-        let set = Self::from_flat_members(g.n(), h, collect_members(g, h, par));
+        let members = if h == 1 {
+            g.vertices().collect()
+        } else {
+            let dag = {
+                let _sp = lhcds_obs::span("dag");
+                build_dag(g)
+            };
+            sp.counter("max_out_degree", dag.max_out_degree() as u64);
+            let _sp = lhcds_obs::span("sweep");
+            collect_members(&dag, h, par.effective_threads(g.n()))
+        };
+        let set = {
+            let _sp = lhcds_obs::span("incidence");
+            Self::from_flat_members(g.n(), h, members)
+        };
         sp.counter("cliques", set.len() as u64);
         set
     }

@@ -547,6 +547,10 @@ impl<'a> Driver<'a> {
         // the verify-phase attribution.
         let sp = lhcds_obs::span_under(parent, "local-decompose");
         sp.counter("vertices", comp.len() as u64);
+        // no h-clique fits in fewer than h vertices
+        if comp.len() < cliques.h() {
+            return None;
+        }
         // One reusable network serves the component's whole Goldberg
         // ladder (every ρ-probe of the local densest decomposition).
         let (inst, map) = {
